@@ -769,8 +769,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--jobs", type=int, default=1, help="worker pool size")
     ap.add_argument("--grid", type=str, default=None,
                     help='"xmin,xmax,n" rendering grid')
-    ap.add_argument("--format", choices=("csv", "json"), default="csv",
-                    help="preferred 1-D output format (both are written)")
     ap.add_argument("--which", type=str, default=None,
                     help="figure id for the figures command")
     return ap

@@ -3,7 +3,11 @@
 Simulates the whole protocol on truncated two-mode density matrices: squeezed
 input, effective beam splitter, amplifier (squeeze unitary), photon
 subtraction, loss (Kraus), windowed homodyne projection, and Wigner rendering.
-Used by tests and golden-file generation only; never the primary path.
+Channels act on the optical axes (c, c') of the (m, c, m', c') tensor of the
+two-mode density matrix, d = N + 1, at O(d^5) or less; no d^2 x d^2 operator
+is formed.  The noisy amplifier (n_A > 0) is not completely positive, so it is
+the one pipeline feature the oracle cannot check.  Used by tests and
+golden-file generation only; never the primary path.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 from .exceptions import DomainError, TruncationError, ZeroWeightError
 from .gaussian_core import CovMatrix
@@ -33,26 +38,21 @@ def _squeeze_unitary(dim: int, r: float) -> np.ndarray:
     return expm(0.5 * r * (a @ a - a.T @ a.T))
 
 
-def _bs_unitary(dim: int, R: float) -> np.ndarray:
+def _bs_sectors(dim: int, R: float):
     """exp(-theta (m'c - mc')) with cos(theta) = sqrt(R): m -> sqrt(R) m - sqrt(T) c.
 
-    Assembled per total-photon-number sector (the generator conserves n_m + n_c),
-    which is far cheaper than one dense matrix exponential.
+    The generator conserves n_m + n_c, so the unitary is block diagonal over
+    the total-photon-number sectors.  Yields (n_tot, ks, block): block acts on
+    the sector basis |k, n_tot - k>, k in ks, which sits at the flat two-mode
+    indices ks * dim + (n_tot - ks).
     """
     theta = math.acos(math.sqrt(R))
-    U = np.zeros((dim * dim, dim * dim))
     for n_tot in range(2 * dim - 1):
         ks = np.arange(max(0, n_tot - dim + 1), min(n_tot, dim - 1) + 1)
-        sz = len(ks)
         # generator on |k, n-k>: m'c |k, n-k> = sqrt((k+1)(n-k)) |k+1, n-k-1>
-        G = np.zeros((sz, sz))
-        for j in range(sz - 1):
-            k = ks[j]
-            G[j + 1, j] = math.sqrt((k + 1.0) * (n_tot - k))
-        block = expm(-theta * (G - G.T))
-        idx = ks * dim + (n_tot - ks)
-        U[np.ix_(idx, idx)] = block
-    return U
+        sub = np.sqrt((ks[:-1] + 1.0) * (n_tot - ks[:-1]))
+        G = np.diag(sub, -1)
+        yield n_tot, ks, expm(-theta * (G - G.T))
 
 
 def _hermite_functions(xs: np.ndarray, nmax: int) -> np.ndarray:
@@ -81,11 +81,20 @@ class FockState:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (dim, dim):
             raise DomainError(f"density matrix has shape {rho.shape}, expected {dim}")
-        if np.abs(rho - rho.conj().T).max() > 1e-10 * max(np.abs(rho).max(), 1e-30):
+        # Hermiticity check and symmetrization by row panels: each panel's
+        # adjoint is formed once, and the temporaries stay in cache
+        sym = np.empty_like(rho)
+        worst = scale = 0.0
+        for i in range(0, dim, self.dim):
+            top, adj = rho[i:i + self.dim], rho[:, i:i + self.dim].conj().T
+            worst = max(worst, np.abs(top - adj).max())
+            scale = max(scale, np.abs(top).max())
+            np.add(top, adj, out=sym[i:i + self.dim])
+        if worst > 1e-10 * max(scale, 1e-30):
             raise DomainError("density matrix is not Hermitian")
-        rho = 0.5 * (rho + rho.conj().T)
-        rho.flags.writeable = False
-        object.__setattr__(self, "rho", rho)
+        sym *= 0.5
+        sym.flags.writeable = False
+        object.__setattr__(self, "rho", sym)
 
     @property
     def dim(self) -> int:
@@ -132,33 +141,24 @@ class FockState:
         """Symmetrized second moments (zero-mean states) in (X_M, P_M[, X_C, P_C])."""
         d = self.dim
         a = _annihilation(d)
-        X = (a + a.T) / math.sqrt(2.0) + 0j
-        P = (a - a.T) / (1j * math.sqrt(2.0))
-        quads = [X, P]
-        rho = self.normalized().rho
-        if self.n_modes == 1:
-            V = np.zeros((2, 2))
-            for i in range(2):
-                for j in range(2):
-                    sym = 0.5 * (quads[i] @ quads[j] + quads[j] @ quads[i])
-                    V[i, j] = float(np.real(np.trace(rho @ sym)))
-            return V
-        r4 = rho.reshape(d, d, d, d)    # (m, c, m', c')
-        V = np.zeros((4, 4))
-        for i in range(4):
-            for j in range(i, 4):
-                mi, mj = i // 2, j // 2
-                if mi == mj:
-                    sym = 0.5 * (quads[i % 2] @ quads[j % 2]
-                                 + quads[j % 2] @ quads[i % 2])
-                    if mi == 0:
-                        val = np.einsum("mcnc,nm->", r4, sym)
-                    else:
-                        val = np.einsum("mcmd,dc->", r4, sym)
+        quads = [(a + a.T) / math.sqrt(2.0), (a - a.T) / (1j * math.sqrt(2.0))]
+        tr = self.trace()
+        if tr <= 0:
+            raise ZeroWeightError("state has non-positive trace")
+        r4 = self.rho.reshape(d, d, d, d) if self.n_modes == 2 else None  # (m, c, m', c')
+        reduced = ([self.rho] if r4 is None else
+                   [np.einsum("mcnc->mn", r4), np.einsum("mcmd->cd", r4)])
+        n = 2 * self.n_modes
+        V = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                qi, qj = quads[i % 2], quads[j % 2]
+                if i // 2 == j // 2:
+                    val = 0.5 * np.trace(reduced[i // 2] @ (qi @ qj + qj @ qi))
                 else:
-                    val = np.einsum("mcnd,nm,dc->", r4, quads[i % 2], quads[j % 2])
+                    val = np.einsum("mcnd,nm,dc->", r4, qi, qj)
                 V[i, j] = V[j, i] = float(np.real(val))
-        return V
+        return V / tr
 
 
 def build_entangled_state(params: SystemParams, pulse: PulseSpec,
@@ -174,27 +174,23 @@ def build_entangled_state(params: SystemParams, pulse: PulseSpec,
         raise DomainError("full Fock oracle requires gamma = 0; "
                           "use scattering_covariance for gamma > 0 moments")
     d = truncation + 1
-    a = _annihilation(d)
-    I = np.eye(d)
-
     r_sq = -0.5 * math.log(params.squeeze.linear)
     sq = _squeeze_unitary(d, r_sq)[:, 0]
-    rho_c = np.outer(sq, sq.conj())
 
-    if params.n_m > 0:
-        nb = params.n_m
-        p = (nb / (1.0 + nb)) ** np.arange(d)
-        rho_m = np.diag(p / p.sum())
-    else:
-        rho_m = np.zeros((d, d))
-        rho_m[0, 0] = 1.0
+    nb = params.n_m
+    p = (nb / (1.0 + nb)) ** np.arange(d)      # thermal weights, vacuum at n_m = 0
+    p /= p.sum()
 
-    rho = np.kron(rho_m, rho_c).astype(complex)
-
-    U = _bs_unitary(d, pulse.R)
-    parity_c = np.kron(np.eye(d), np.diag((-1.0) ** np.arange(d)))
-    U = parity_c @ U
-    rho = U @ rho @ U.conj().T
+    # input sum_k p_k |k><k| (x) |sq><sq|; column k of psi is P U (|k> (x) sq),
+    # U the beam splitter and P the optical parity (-1)^c, filled sector by
+    # sector without a dense U.  All of it is real.
+    psi = np.zeros((d * d, d))
+    for n_tot, ks, block in _bs_sectors(d, pulse.R):
+        cs = n_tot - ks
+        psi[np.ix_(ks * d + cs, ks)] = ((-1.0) ** cs)[:, None] * block * sq[cs]
+    keep = p > 0
+    psi = psi[:, keep]
+    rho = (psi * p[keep]) @ psi.T
 
     st = FockState(rho, truncation, 2)
     st.check_edge_population()
@@ -241,8 +237,12 @@ def scattering_covariance(params: SystemParams, pulse: PulseSpec) -> CovMatrix:
 # ---------------------------------------------------------------------------
 # channels
 
-def _on_c(op: np.ndarray, dim: int) -> np.ndarray:
-    return np.kron(np.eye(dim), op)
+def _apply_on_c(rho: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """(I (x) op) rho (I (x) op)^dagger of a two-mode density matrix, applied on
+    the optical axes of its (m, c, m', c') tensor: op on c, op^dagger on c'."""
+    d = op.shape[0]
+    out = np.matmul(op, rho.reshape(d, d, d * d))      # c, batched over m
+    return (out.reshape(d ** 3, d) @ op.conj().T).reshape(d * d, d * d)
 
 
 def apply_amplifier(state: FockState, g_quad: float, n_quad: float = 0.0) -> FockState:
@@ -255,19 +255,23 @@ def apply_amplifier(state: FockState, g_quad: float, n_quad: float = 0.0) -> Foc
     if n_quad != 0.0:
         raise DomainError("oracle amplifier supports n_A = 0 only "
                           "(the noisy map is not completely positive)")
-    S = _on_c(_squeeze_unitary(state.dim, -math.log(g_quad)), state.dim)
-    out = FockState(S @ state.rho @ S.conj().T, state.truncation, 2, state.weight)
+    S = _squeeze_unitary(state.dim, -math.log(g_quad))
+    out = FockState(_apply_on_c(state.rho, S), state.truncation, 2, state.weight)
     out.check_edge_population()
     return out
 
 
 def apply_annihilate_C(state: FockState) -> FockState:
-    """a rho a' on the optical mode; keeps the (trace) weight of the branch."""
+    """a rho a' on the optical mode, a shift of both optical indices scaled by
+    sqrt(c+1) sqrt(c'+1); keeps the (trace) weight of the branch."""
     if state.n_modes != 2:
         raise DomainError("photon subtraction acts on the two-mode state")
-    A = _on_c(_annihilation(state.dim), state.dim)
-    rho = A @ state.rho @ A.conj().T
-    out = FockState(rho, state.truncation, 2, state.weight)
+    d = state.dim
+    r4 = state.rho.reshape(d, d, d, d)
+    s = np.sqrt(np.arange(1.0, d))
+    out = np.zeros_like(r4)
+    out[:, :-1, :, :-1] = r4[:, 1:, :, 1:] * (s[:, None, None] * s)
+    out = FockState(out.reshape(d * d, d * d), state.truncation, 2, state.weight)
     if out.trace() <= 1e-14:
         raise ZeroWeightError("subtraction annihilated the state (optical vacuum)")
     return out
@@ -275,30 +279,30 @@ def apply_annihilate_C(state: FockState) -> FockState:
 
 def apply_loss(state: FockState, eta: float) -> FockState:
     """Loss channel on the optical mode via Kraus operators K_k = sqrt((1-eta)^k/k!)
-    eta^(n/2) a^k.  Exploits the single-diagonal structure of K_k."""
+    eta^(n/2) a^k.  K_k shifts both optical indices by k, so each diagonal
+    c' - c = delta of the (c, c') plane maps into itself by one real triangular
+    matrix T[u, u + k] = a_k(c) a_k(c'), a_k(i)^2 = C(i+k, k) (1-eta)^k eta^i."""
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"transmission efficiency must lie in [0, 1], got {eta}")
     if eta == 1.0:
         return state
     d = state.dim
-    r4 = state.rho.reshape(d, d, d, d)
-    ns = np.arange(d)
-    out = np.zeros_like(r4)
-    log_fac = np.cumsum(np.log(np.maximum(ns, 1)))
-    for k in range(d):
-        # diag part of K_k on the shifted index: c_i = coef * sqrt(eta)^i * sqrt((i+k)!/i!)
-        i = ns[: d - k]
-        log_c = (0.5 * k * math.log(1.0 - eta) - 0.5 * log_fac[k]
-                 + 0.5 * i * math.log(eta)
-                 + 0.5 * (log_fac[i + k] - log_fac[i])) if k > 0 else (
-                 0.5 * i * math.log(eta))
-        c = np.exp(log_c)
-        if c.max() < 1e-18:
-            break
-        block = r4[:, k:, :, k:]
-        out[:, : d - k, :, : d - k] += (c[None, :, None, None]
-                                        * c[None, None, None, :]) * block
-    return FockState(out.reshape(d * d, d * d), state.truncation, 2, state.weight)
+    ks, i = np.ogrid[:d, :d]
+    log_binom = gammaln(i + ks + 1.0) - gammaln(i + 1.0) - gammaln(ks + 1.0)
+    a = np.sqrt(np.exp(log_binom) * (1.0 - eta) ** ks * eta ** i)    # a[k, i]
+    # (c, c', m, m') rows; complex entries as float pairs, T is real
+    Y = np.ascontiguousarray(state.rho.reshape(d, d, d, d).transpose(1, 3, 0, 2))
+    Y = Y.reshape(d * d, d * d).view(np.float64)
+    out = np.empty_like(Y)
+    for delta in range(1 - d, d):
+        j0, L = max(0, -delta), d - abs(delta)
+        rows = slice(j0 * (d + 1) + delta, None, d + 1)
+        u, v = np.ogrid[:L, :L]
+        k = np.maximum(v - u, 0)
+        T = np.where(v >= u, a[k, j0 + u] * a[k, j0 + u + delta], 0.0)
+        out[rows][:L] = T @ Y[rows][:L]
+    rho = out.view(complex).reshape(d, d, d, d).transpose(2, 0, 3, 1)
+    return FockState(rho.reshape(d * d, d * d), state.truncation, 2, state.weight)
 
 
 def _window_povm(dim: int, zeta: float, eps: float) -> np.ndarray:
@@ -341,16 +345,6 @@ def apply_homodyne_window(state: FockState, zeta: float, eps: float,
     return out
 
 
-def apply_channel(state: FockState, channel: str, **kwargs) -> FockState:
-    """Dispatch by name: amplifier(g_quad, n_quad), annihilate_C, loss(eta),
-    homodyne_window(zeta, eps, mu)."""
-    table = {"amplifier": apply_amplifier, "annihilate_C": apply_annihilate_C,
-             "loss": apply_loss, "homodyne_window": apply_homodyne_window}
-    if channel not in table:
-        raise DomainError(f"unknown channel {channel!r}")
-    return table[channel](state, **kwargs)
-
-
 def wigner_from_density(state: FockState, grid: GridSpec = GridSpec()) -> np.ndarray:
     """W(x, p) of a single-mode density matrix on the grid (row-major [x, p])."""
     if state.n_modes != 1:
@@ -360,15 +354,17 @@ def wigner_from_density(state: FockState, grid: GridSpec = GridSpec()) -> np.nda
     xs = grid.axis
     extent = math.sqrt(2.0 * d + 1.0) + 4.0
     dy = 0.02
-    ys = np.arange(-2.0 * extent, 2.0 * extent + dy, dy)
-    ker = np.exp(-1j * np.outer(ys, xs))        # (ny, np)
-    W = np.zeros((len(xs), len(xs)))
+    # y grid symmetric about 0, so psi_n(x - y/2) is psi_n(x + y/2) reversed
+    K = math.ceil(2.0 * extent / dy)
+    ys = dy * np.arange(-K, K + 1)
+    # M(x, y) = <x+y/2|rho|x-y/2>, with the real and imaginary parts of rho apart
+    Mr, Mi = np.empty((2, len(xs), len(ys)))
     for ix, x in enumerate(xs):
         Pp = _hermite_functions(x + ys / 2.0, d - 1)     # (d, ny)
-        Pm = _hermite_functions(x - ys / 2.0, d - 1)
-        M = np.einsum("my,mn,ny->y", Pp, st.rho, Pm)     # <x+y/2|rho|x-y/2>
-        W[ix] = np.real(M @ ker) * dy / (2.0 * math.pi)
-    return W
+        Mr[ix] = np.sum(Pp * (st.rho.real @ Pp[:, ::-1]), axis=0)
+        Mi[ix] = np.sum(Pp * (st.rho.imag @ Pp[:, ::-1]), axis=0)
+    yp = np.outer(ys, xs)           # Re(M e^{-i y p})
+    return (Mr @ np.cos(yp) + Mi @ np.sin(yp)) * dy / (2.0 * math.pi)
 
 
 def run_eps_oracle(params: SystemParams, pulse: PulseSpec, g_A_var: float,
@@ -386,13 +382,12 @@ def run_eps_oracle(params: SystemParams, pulse: PulseSpec, g_A_var: float,
     if eta < 1.0:
         st = apply_loss(st, eta)
     st = apply_amplifier(st, math.sqrt(g_A_var))
-    heralded = st
-    for _ in range(n_sub):
-        heralded = apply_annihilate_C(heralded)
+    # with dark counts the n-1 click branch is the heralded chain one step short
+    unheralded = st
+    for _ in range(n_sub - 1):
+        unheralded = apply_annihilate_C(unheralded)
+    heralded = apply_annihilate_C(unheralded) if n_sub > 0 else st
     if nu < 1.0 and n_sub > 0:
-        unheralded = st
-        for _ in range(n_sub - 1):
-            unheralded = apply_annihilate_C(unheralded)
         rho = (nu * heralded.rho / heralded.trace()
                + (1.0 - nu) * unheralded.rho / unheralded.trace())
         st = FockState(rho, truncation, 2)

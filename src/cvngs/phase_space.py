@@ -168,7 +168,7 @@ class PolyGaussian:
     def __post_init__(self):
         cov = np.array(self.cov, dtype=float)
         mean = np.array(self.mean, dtype=float)
-        if cov.shape != (self.nvars_of(cov), self.nvars_of(cov)):
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise DomainError("covariance must be square")
         if mean.shape != (cov.shape[0],):
             raise DomainError("mean has wrong length")
@@ -178,10 +178,6 @@ class PolyGaussian:
         mean.flags.writeable = False
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "mean", mean)
-
-    @staticmethod
-    def nvars_of(cov: np.ndarray) -> int:
-        return cov.shape[0]
 
     @property
     def nvars(self) -> int:

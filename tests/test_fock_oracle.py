@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from cvngs import (EpsStage, GridSpec, MeasurementSpec, PipelineSpec,
                    PulseSpec, SystemParams, covariance_after_pulse,
                    eps_pipeline, evaluate_grid, sigma_from_cov, solve_gain)
 from cvngs.exceptions import DomainError, TruncationError, ZeroWeightError
-from cvngs.fock_oracle import (FockState, apply_amplifier, apply_annihilate_C,
-                               apply_homodyne_window, apply_loss,
+from cvngs.fock_oracle import (FockState, _annihilation, _apply_on_c,
+                               _squeeze_unitary, apply_amplifier,
+                               apply_annihilate_C, apply_homodyne_window, apply_loss,
                                build_entangled_state, run_eps_oracle,
                                scattering_covariance, wigner_from_density)
 
@@ -41,6 +43,23 @@ class TestBuild:
         st = build_entangled_state(params(n_m=0.1), PulseSpec(0.7), truncation=28)
         V = covariance_after_pulse(params(n_m=0.1), PulseSpec(0.7))
         assert np.abs(st.quadrature_covariance() - V.entries).max() < 1e-5
+
+    def test_build_matches_dense_unitary(self):
+        # reference: the whole beam splitter as one d^2 x d^2 matrix exponential
+        # on rho_m (x) |sq><sq|, then the optical parity
+        N, n_m = 8, 0.1
+        p, pulse = params(db=-1.0, n_m=n_m), PulseSpec(0.9)
+        d = N + 1
+        a = _annihilation(d)
+        theta = math.acos(math.sqrt(pulse.R))
+        U = expm(-theta * (np.kron(a.T, a) - np.kron(a, a.T)))
+        U = np.kron(np.eye(d), np.diag((-1.0) ** np.arange(d))) @ U
+        sq = _squeeze_unitary(d, -0.5 * math.log(p.squeeze.linear))[:, 0]
+        pm = (n_m / (1.0 + n_m)) ** np.arange(d)
+        rho_in = np.kron(np.diag(pm / pm.sum()), np.outer(sq, sq))
+        ref = U @ rho_in @ U.T
+        st = build_entangled_state(p, pulse, truncation=N)
+        assert np.abs(st.rho - ref).max() <= 1e-13
 
     def test_gamma_requires_moment_oracle(self):
         with pytest.raises(DomainError):
@@ -110,6 +129,60 @@ class TestChannels:
         assert out.n_modes == 1
 
 
+class TestModeWiseChannels:
+    """The channels act on the optical axes of the (m, c, m', c') tensor; the
+    reference is the dense congruence with kron(I, op) on the d^2 x d^2 matrix."""
+
+    N = 8
+
+    @pytest.fixture(scope="class")
+    def state(self):
+        # a random complex two-mode state, so imaginary parts are exercised
+        d = self.N + 1
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+        rho = A @ A.conj().T
+        return FockState(rho / np.trace(rho).real, self.N, 2)
+
+    @staticmethod
+    def congruence(rho, ops):
+        d = ops[0].shape[0]
+        out = np.zeros_like(rho)
+        for op in ops:
+            K = np.kron(np.eye(d), op)
+            out += K @ rho @ K.conj().T
+        return out
+
+    def assert_close(self, got, ref):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_amplifier(self):
+        # the amplifier checks edge population, so use a state well inside N = 8
+        st = build_entangled_state(params(db=-1.0), PulseSpec(0.9), truncation=self.N)
+        g = 1.2
+        ref = self.congruence(st.rho, [_squeeze_unitary(st.dim, -math.log(g))])
+        self.assert_close(apply_amplifier(st, g).rho, ref)
+
+    def test_apply_on_c_complex_operator(self, state):
+        rng = np.random.default_rng(8)
+        op = rng.standard_normal((state.dim,) * 2) + 1j * rng.standard_normal((state.dim,) * 2)
+        self.assert_close(_apply_on_c(state.rho, op), self.congruence(state.rho, [op]))
+
+    def test_subtraction(self, state):
+        ref = self.congruence(state.rho, [_annihilation(state.dim)])
+        self.assert_close(apply_annihilate_C(state).rho, ref)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9])
+    def test_loss_matches_kraus_sum(self, state, eta):
+        d = state.dim
+        a = _annihilation(d)
+        eta_n = np.diag(math.sqrt(eta) ** np.arange(d))
+        kraus = [math.sqrt((1.0 - eta) ** k / math.factorial(k))
+                 * eta_n @ np.linalg.matrix_power(a, k) for k in range(d)]
+        self.assert_close(apply_loss(state, eta).rho,
+                          self.congruence(state.rho, kraus))
+
+
 class TestWigner:
     def test_vacuum_peak(self):
         d = 13
@@ -131,6 +204,20 @@ class TestWigner:
         assert W[i0, i0] == pytest.approx(-1.0 / math.pi, rel=1e-5)
         delta = float(np.sum(np.abs(W) - W) * g.step ** 2)
         assert delta == pytest.approx(4.0 * math.exp(-0.5) - 2.0, abs=1e-3)
+
+    def test_complex_state_is_rotated_wigner(self):
+        # (|0> + |1>)/sqrt(2) sits at x > 0; exp(-i pi/2 n) moves it to p < 0,
+        # a quarter turn of the grid, through purely imaginary coherences
+        d = 13
+        psi = np.zeros(d)
+        psi[:2] = 1.0 / math.sqrt(2.0)
+        rho = np.outer(psi, psi)
+        phase = (-1j) ** np.arange(d)
+        rho_rot = phase[:, None] * rho * phase.conj()[None, :]
+        g = GridSpec(-4.0, 4.0, 41)
+        W = wigner_from_density(FockState(rho, 12, 1), g)
+        W_rot = wigner_from_density(FockState(rho_rot, 12, 1), g)
+        assert np.abs(W_rot - np.rot90(W, -1)).max() < 1e-12
 
 
 class TestTruncationConvergence:
@@ -182,6 +269,18 @@ class TestOracleEquivalence:
         Wo = wigner_from_density(st.reduced_mechanical(), grid)
         W = eps_pipeline(V, PipelineSpec(stages=(EpsStage(g, 2),)))
         Wp, _ = evaluate_grid(W, grid)
+        assert np.abs(Wo - Wp).max() < 1e-3
+
+    @pytest.mark.parametrize("n, n_m", [(1, 0.0), (3, 0.0), (4, 0.0), (2, 0.1)])
+    def test_photon_number_and_thermal_match_phase_space(self, n, n_m):
+        p = params(db=-4.0, n_m=n_m)
+        pulse = PulseSpec(0.9)
+        V = covariance_after_pulse(p, pulse)
+        g = solve_gain(sigma_from_cov(V), 0.5)
+        out = run_eps_oracle(p, pulse, g, n, truncation=40)
+        grid = GridSpec()
+        Wo = wigner_from_density(out.reduced_mechanical(), grid)
+        Wp, _ = evaluate_grid(eps_pipeline(V, PipelineSpec(stages=(EpsStage(g, n),))), grid)
         assert np.abs(Wo - Wp).max() < 1e-3
 
     def test_zeta_and_mu_channelled_run(self):
