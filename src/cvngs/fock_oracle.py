@@ -270,7 +270,8 @@ def apply_annihilate_C(state: FockState) -> FockState:
     r4 = state.rho.reshape(d, d, d, d)
     s = np.sqrt(np.arange(1.0, d))
     out = np.zeros_like(r4)
-    out[:, :-1, :, :-1] = r4[:, 1:, :, 1:] * (s[:, None, None] * s)
+    # in place: a product temporary would be one more d^4 array at the oracle's peak
+    np.multiply(r4[:, 1:, :, 1:], s[:, None, None] * s, out=out[:, :-1, :, :-1])
     out = FockState(out.reshape(d * d, d * d), state.truncation, 2, state.weight)
     if out.trace() <= 1e-14:
         raise ZeroWeightError("subtraction annihilated the state (optical vacuum)")

@@ -221,13 +221,6 @@ class CatFit:
     dip_ratio: float     # central marginal value / peak value (bimodality witness)
 
 
-def _marginals(W: PolyGaussian, grid: GridSpec):
-    field, _ = evaluate_grid(W, grid)
-    mx = field.sum(axis=1) * grid.step
-    mp = field.sum(axis=0) * grid.step
-    return mx, mp
-
-
 def _cat_marginal_model(ax, xbar, v, parity):
     """Marginal density of the ideal squeezed cat with lobes at +-xbar."""
     gp = np.exp(-(ax - xbar) ** 2 / (2.0 * v))
@@ -338,13 +331,33 @@ def cat_size(W: PolyGaussian, grid: GridSpec | None = None) -> float | None:
     return None if fit is None else fit.alpha2
 
 
+def _variances(field: np.ndarray, grid: GridSpec) -> tuple[float, float]:
+    ax, step = grid.axis, grid.step
+    mx = field.sum(axis=1) * step
+    mp = field.sum(axis=0) * step
+    vx = float(np.sum(mx * ax ** 2) * step - (np.sum(mx * ax) * step) ** 2)
+    vp = float(np.sum(mp * ax ** 2) * step - (np.sum(mp * ax) * step) ** 2)
+    return vx, vp
+
+
 def quadrature_variances(W: PolyGaussian, grid: GridSpec | None = None) -> tuple[float, float]:
     g = grid or _auto_grid(W)
-    mx, mp = _marginals(W, g)
-    ax = g.axis
-    vx = float(np.sum(mx * ax ** 2) * g.step - (np.sum(mx * ax) * g.step) ** 2)
-    vp = float(np.sum(mp * ax ** 2) * g.step - (np.sum(mp * ax) * g.step) ** 2)
-    return vx, vp
+    return _variances(evaluate_grid(W, g)[0], g)
+
+
+def _squeezing(field: np.ndarray, grid: GridSpec, fit: CatFit | None,
+               n: int | None, sigma11: float | None) -> dict:
+    vx, vp = _variances(field, grid)
+    out = {"min_var_db": 10.0 * math.log10(2.0 * min(vx, vp)),
+           "var_x": vx, "var_p": vp, "method": "min_var"}
+    if n is not None:
+        out["fock_ref_db"] = 10.0 * math.log10(2.0 * min(vx, vp) / (2 * n + 1))
+    if fit is not None:
+        out["lobe_db"] = 10.0 * math.log10(2.0 * fit.lobe_var)
+    if sigma11 is not None:
+        out["sigma_fock_db"] = -10.0 * math.log10(sigma11)
+        out["sigma_cat_db"] = -10.0 * math.log10(2.0 * sigma11)
+    return out
 
 
 def squeezing_estimate(W: PolyGaussian, n: int | None = None,
@@ -358,18 +371,9 @@ def squeezing_estimate(W: PolyGaussian, n: int | None = None,
     sigma_fock_db / sigma_cat_db: the mapping prescription -10 log10(sigma11)
                   and -10 log10(2 sigma11), given the pre-measurement sigma11
     """
-    vx, vp = quadrature_variances(W, grid)
-    out = {"min_var_db": 10.0 * math.log10(2.0 * min(vx, vp)),
-           "var_x": vx, "var_p": vp, "method": "min_var"}
-    if n is not None:
-        out["fock_ref_db"] = 10.0 * math.log10(2.0 * min(vx, vp) / (2 * n + 1))
-    fit = cat_fit(W, grid)
-    if fit is not None:
-        out["lobe_db"] = 10.0 * math.log10(2.0 * fit.lobe_var)
-    if sigma11 is not None:
-        out["sigma_fock_db"] = -10.0 * math.log10(sigma11)
-        out["sigma_cat_db"] = -10.0 * math.log10(2.0 * sigma11)
-    return out
+    g = grid or _auto_grid(W)
+    field, _ = evaluate_grid(W, g)
+    return _squeezing(field, g, cat_fit_field(field, g), n, sigma11)
 
 
 def best_cat_fidelity(W: PolyGaussian, axis: str, parity: int = 1,
@@ -440,8 +444,10 @@ def score_state(W: PolyGaussian, target: TargetState | None = None,
     squeezing estimate and parity indicator."""
     f = fidelity(W, target) if target is not None else None
     delta = wigner_negativity(W)
-    fit = cat_fit(W)
-    sq = squeezing_estimate(W, n=n, sigma11=sigma11)
+    g = _auto_grid(W)
+    field, _ = evaluate_grid(W, g)
+    fit = cat_fit_field(field, g)
+    sq = _squeezing(field, g, fit, n, sigma11)
     tags = {"squeeze": sq}
     if fit is not None:
         tags["cat_axis"] = fit.axis

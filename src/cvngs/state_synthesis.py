@@ -110,21 +110,6 @@ def _rotation_on_C(theta: float) -> np.ndarray:
     return T
 
 
-def _run_stages(W: PolyGaussian, stages: tuple[EpsStage, ...],
-                drop_last_photon: bool = False) -> PolyGaussian:
-    for k, stage in enumerate(stages):
-        W = amplify_wigner(W, stage.quad_gain, stage.quad_noise)
-        n_sub = stage.n
-        if drop_last_photon and k == len(stages) - 1 and n_sub > 0:
-            n_sub -= 1
-        for _ in range(n_sub):
-            W = subtract_photon(W)
-            if W.total_mass() <= 0:
-                raise ZeroWeightError(
-                    f"zero-weight branch: subtraction in stage {k} annihilated the state")
-    return W
-
-
 def eps_pipeline(V: CovMatrix, spec: PipelineSpec) -> PolyGaussian:
     """Run the full EPS chain on the two-mode Gaussian state V.
 
@@ -134,14 +119,17 @@ def eps_pipeline(V: CovMatrix, spec: PipelineSpec) -> PolyGaussian:
     """
     if spec.eta < 1.0:
         V = cov_from_sigma(loss_channel_sigma(sigma_from_cov(V), spec.eta))
-    W = gaussian_wigner(V)
-
-    heralded = _run_stages(W, spec.stages)
+    joint = gaussian_wigner(V)
+    for k, stage in enumerate(spec.stages):
+        joint = amplify_wigner(joint, stage.quad_gain, stage.quad_noise)
+        for _ in range(stage.n):
+            unheralded = joint    # a dark count fires one subtraction short
+            joint = subtract_photon(joint)
+            if joint.total_mass() <= 0:
+                raise ZeroWeightError(
+                    f"zero-weight branch: subtraction in stage {k} annihilated the state")
     if spec.dark_count < 1.0 and spec.stages and spec.stages[-1].n > 0:
-        unheralded = _run_stages(W, spec.stages, drop_last_photon=True)
-        joint = dark_count_mix(heralded, unheralded, spec.dark_count)
-    else:
-        joint = heralded
+        joint = dark_count_mix(joint, unheralded, spec.dark_count)
 
     m = spec.measurement
     if m.theta != 0.0:

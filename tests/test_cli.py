@@ -1,5 +1,4 @@
 import json
-import numpy as np
 import pytest
 
 from cvngs.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, run
@@ -35,6 +34,25 @@ class TestValidation:
     def test_unknown_figure_id(self, tmp_path):
         rc = run({"command": "figures", "figure": {"which": "fig99"}}, tmp_path)
         assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("manifest", [
+        {"command": "eps", "grid": {"n": 61.0}},
+        {"command": "eps", "stages": [{"xi": 0.5, "n": True}]},
+        {"command": "eps", "pulse": {"R": 0}},
+        {"command": "entanglement-sweep", "sweep": {"r_grid": []}},
+        {"command": "nope"},
+        {"grid": {"n": 61}},
+        {"command": "eps", "grid": {"xmin": 2.0, "xmax": 2.0}},
+        {"command": "eps", "grid": {"xmin": 7.0}},
+        {"command": "figures", "figure": {"which": "fig2c", "eta": 0.9}},
+        {"command": "gain-solve", "out_dir": "elsewhere"},
+    ], ids=["float-int", "bool-int", "R-exclusive-min", "empty-array", "unknown-command",
+            "missing-command", "xmax-eq-xmin", "xmin-past-default-xmax",
+            "figure-eta", "out-dir"])
+    def test_schema_rejects(self, tmp_path, manifest):
+        assert run(manifest, tmp_path) == EXIT_VALIDATION
+        assert read_json(tmp_path / "report.json")["error"]["kind"] == "validation"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 class TestNumericalErrors:
@@ -98,15 +116,6 @@ class TestCommands:
              "sweep": {"r_grid": [0.5], "squeeze_db_grid": [-6.0]}}, tmp_path)
         head = (tmp_path / "sweep.csv").read_text().splitlines()[0]
         assert head == "R,tau_s,S_in_dB,E_N,steering_MC"
-
-    def test_sweep_jobs_order_independent(self, tmp_path):
-        m = {"command": "entanglement-sweep",
-             "sweep": {"r_grid": list(np.linspace(0.1, 0.9, 12)),
-                       "squeeze_db_grid": [-6.0, -3.0]}}
-        run(m, tmp_path / "serial", jobs=1)
-        run(m, tmp_path / "pool", jobs=3)
-        assert (tmp_path / "serial" / "sweep.csv").read_bytes() == \
-            (tmp_path / "pool" / "sweep.csv").read_bytes()
 
     def test_eps_writes_wigner_artifacts(self, tmp_path):
         rc = run({"command": "eps", "grid": {"n": 41}}, tmp_path)
@@ -174,6 +183,13 @@ class TestMainEntry:
         mp.write_text(json.dumps({"command": "eps"}))
         rc = main(["oracle", "--manifest", str(mp), "--out", str(tmp_path / "o")])
         assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"eps"', "null"])
+    def test_non_object_manifest_file(self, tmp_path, text):
+        mp = tmp_path / "m.json"
+        mp.write_text(text)
+        assert main(["eps", "--manifest", str(mp), "--out", str(tmp_path / "o")]) \
+            == EXIT_VALIDATION
 
     def test_manifest_file(self, tmp_path):
         mp = tmp_path / "m.json"
