@@ -69,6 +69,8 @@ def _check(v, schema: dict, path: str) -> None:
     t = schema.get("type")
     if t is not None and (isinstance(v, bool) or not isinstance(v, _TYPES[t])):
         raise ManifestError(f"{path or 'manifest'}: expected {t}, got {v!r}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ManifestError(f"{path}: expected a finite number, got {v!r}")
     if "minimum" in schema and v < schema["minimum"]:
         raise ManifestError(f"{path}: must be >= {schema['minimum']}, got {v}")
     if "exclusiveMinimum" in schema and not v > schema["exclusiveMinimum"]:
@@ -103,6 +105,11 @@ def validate_manifest(manifest: dict) -> dict:
     grid = manifest.get("grid", {})
     if not grid.get("xmax", GridSpec.xmax) > grid.get("xmin", GridSpec.xmin):
         raise ManifestError("grid: xmax must exceed xmin")
+    if manifest["command"] == "oracle" and manifest.get("measurement", {}).get("theta", 0.0):
+        raise ManifestError("measurement.theta: the Fock oracle runs at theta = 0 only")
+    fig = manifest.get("figure", {})
+    if "mu" in fig and fig.get("which", "all") not in ("all", *_MU_FIGURES):
+        raise ManifestError(f"figure.mu: read by fig3c/d only, not by {fig['which']}")
     return manifest
 
 
@@ -469,6 +476,7 @@ def _figS5a(fid, outdir, overrides):
                   "correlations with imperfections", ["E_N", "steering"])
 
 
+_MU_FIGURES = ("fig3c", "fig3d")     # the ids that read figure.mu
 _LOSSY = {"eta": 0.9, "nu": 0.98, "measurement": MeasurementSpec(mu=0.8)}
 
 FIGURES = {
@@ -477,7 +485,7 @@ FIGURES = {
     **{f"fig2{c}": _eps_grid(0.9 if c in "cdef" else 0.5, rule)
        for c, rule in zip("cdefghij", (None, "p", "F", "x") * 2)},
     **dict.fromkeys(("fig3a", "fig3b"), _fig3_cooperativity),
-    **dict.fromkeys(("fig3c", "fig3d"), _fig3_efficiency),
+    **dict.fromkeys(_MU_FIGURES, _fig3_efficiency),
     "fig4b": _fig4b,
     **{f"figS1{c}": _correlations(9.0 / 7.0 / c_om, 120, f"correlations at C_om={c_om}",
                                   ["E_N", "steering"]) for c, c_om in zip("ab", (0.5, 0.1))},
@@ -512,11 +520,12 @@ def cmd_figures(manifest, outdir, jobs=1):
         parts = list(map(_figure, *args))
     artifacts = [name for part in parts for name in part]
     for fid in ids:
+        own = {k: v for k, v in overrides.items() if k != "mu" or fid in _MU_FIGURES}
         _write_json(outdir / f"{fid}.manifest.json",
-                    {"command": "figures", "figure": dict({"which": fid}, **overrides)})
+                    {"command": "figures", "figure": dict({"which": fid}, **own)})
         artifacts.append(f"{fid}.manifest.json")
     extras = {"figures": ids}
-    if any(f in ids for f in ("fig3c", "fig3d")):
+    if any(f in ids for f in _MU_FIGURES):
         extras["fig3_split"] = {"mu": overrides.get("mu", 0.8), "eta": "swept"}
     return extras, artifacts
 

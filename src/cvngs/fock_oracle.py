@@ -382,12 +382,12 @@ def run_eps_oracle(params: SystemParams, pulse: PulseSpec, g_A_var: float,
     truncation = st.truncation
     if eta < 1.0:
         st = apply_loss(st, eta)
-    st = apply_amplifier(st, math.sqrt(g_A_var))
-    # with dark counts the n-1 click branch is the heralded chain one step short
-    unheralded = st
+    # with dark counts the n-1 click branch is the heralded chain one step short;
+    # the chain holds the only reference to the amplified state, which it frees
+    unheralded, st = apply_amplifier(st, math.sqrt(g_A_var)), None
     for _ in range(n_sub - 1):
         unheralded = apply_annihilate_C(unheralded)
-    heralded = apply_annihilate_C(unheralded) if n_sub > 0 else st
+    heralded = apply_annihilate_C(unheralded) if n_sub > 0 else unheralded
     if nu < 1.0 and n_sub > 0:
         rho = (nu * heralded.rho / heralded.trace()
                + (1.0 - nu) * unheralded.rho / unheralded.trace())

@@ -1,21 +1,28 @@
 """Ideal target states and quality metrics for synthesized mechanical states.
 
-Targets are pure states rendered as analytic Wigner functions on a grid;
-fidelity against a pure target is the phase-space overlap 2 pi * int(W W_t).
+Targets are pure states held as sums of Gaussian terms (complex means for the
+cat superpositions, a Laguerre polynomial for Fock states).  Fidelity against
+a pure target is the phase-space overlap 2 pi * int(W W_t), computed exactly
+term by term; the negativity is exact as well (phase_space).  Grids serve only
+the cat-lobe fit and the squeezing estimate, which read a rendered field.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
-from scipy.special import eval_genlaguerre, erf
+from scipy.special import erf
 
 from .exceptions import ContractError, DomainError
-from .phase_space import GridSpec, PolyGaussian, evaluate_grid, wigner_negativity
+from .phase_space import (GridSpec, MultiPoly, PolyGaussian, _gauss_density,
+                          evaluate_grid, overlap_terms, wigner_negativity)
 
 SQRT2 = math.sqrt(2.0)
+_ONE = MultiPoly.constant(2)
 
 # truncated-second-moment correction for a +-2 sigma window of a Gaussian lobe
 _PHI2 = math.exp(-2.0) / math.sqrt(2.0 * math.pi)
@@ -23,52 +30,60 @@ _MASS2 = erf(2.0 / SQRT2)
 TRUNC_CORRECTION = 1.0 - 4.0 * _PHI2 / _MASS2
 
 
-def coherent_superposition_wigner(alphas, coeffs):
-    """Wigner function (callable) of the normalized superposition sum c_k |alpha_k>.
-
-    Exact pairwise closed form; alphas and coeffs may be complex.
-    """
-    alphas = [complex(a) for a in alphas]
-    coeffs = [complex(c) for c in coeffs]
-    norm = 0.0
-    for cj, aj in zip(coeffs, alphas):
-        for ck, ak in zip(coeffs, alphas):
-            ov = np.exp(-(abs(aj) ** 2 + abs(ak) ** 2) / 2.0 + np.conj(ak) * aj)
-            norm += (cj * np.conj(ck) * ov).real
-
-    consts = []
-    for cj, aj in zip(coeffs, alphas):
-        for ck, ak in zip(coeffs, alphas):
-            c0 = (-(aj ** 2 + np.conj(ak) ** 2) / 2.0
-                  - (abs(aj) ** 2 + abs(ak) ** 2) / 2.0)
-            consts.append((cj * np.conj(ck), aj, np.conj(ak), c0))
-
-    def W(x, p):
-        x = np.asarray(x, dtype=float)
-        p = np.asarray(p, dtype=float)
-        out = np.zeros(np.broadcast(x, p).shape, dtype=complex)
-        for w, aj, akc, c0 in consts:
-            b = (aj - akc) / SQRT2 - 1j * p
-            out += w * np.exp(-x * x + SQRT2 * (aj + akc) * x + b * b + c0)
-        return out.real / (math.pi * norm)
-
-    return W
+def _pair_weights(alphas, coeffs) -> list:
+    """c_j c_k* <a_k|a_j> over all pairs (j, k); their sum is the squared norm."""
+    return [cj * np.conj(ck) * np.exp(np.conj(ak) * aj - (abs(aj) ** 2 + abs(ak) ** 2) / 2.0)
+            for cj, aj in zip(coeffs, alphas) for ck, ak in zip(coeffs, alphas)]
 
 
-def _fock_wigner(n: int):
-    def W(x, p):
-        r2 = np.asarray(x, dtype=float) ** 2 + np.asarray(p, dtype=float) ** 2
-        return ((-1.0) ** n / math.pi) * eval_genlaguerre(n, 0, 2.0 * r2) * np.exp(-r2)
-    return W
+def _coherent_terms(alphas, coeffs, scale: float) -> tuple:
+    """Wigner terms of the normalized sum_k c_k |alpha_k> with x scaled by
+    `scale` (p by 1/scale): |a_j><a_k| gives <a_k|a_j> N(u; m_jk, cov) with the
+    complex mean m_jk = ((a_j + a_k*) scale, -i (a_j - a_k*) / scale) / sqrt2."""
+    weights = _pair_weights(alphas, coeffs)
+    norm, cov = sum(weights).real, np.diag([scale * scale, 1.0 / (scale * scale)]) / 2.0
+    return tuple((w / norm, np.array([(aj + np.conj(ak)) * scale,
+                                      -1j * (aj - np.conj(ak)) / scale]) / SQRT2, cov, _ONE)
+                 for w, (aj, ak) in zip(weights, product(alphas, alphas)))
+
+
+def _coherent_superposition_psi(alphas, coeffs, scale: float):
+    """psi(x) of the normalized sum_k c_k |alpha_k>, with x scaled by `scale`."""
+    pref = math.pi ** -0.25 / math.sqrt(scale * sum(_pair_weights(alphas, coeffs)).real)
+
+    def psi(x):
+        y = np.asarray(x, dtype=float) / scale
+        tot = np.zeros(np.shape(y), dtype=complex)
+        for c, a in zip(coeffs, alphas):
+            tot += c * np.exp(-y * y / 2.0 + SQRT2 * a * y
+                              - a * a / 2.0 - abs(a) ** 2 / 2.0)
+        return pref * tot
+    return psi
+
+
+def _fock_terms(n: int, lam: float) -> tuple:
+    """One term: (-1)^n L_n(2 (x^2/lam^2 + lam^2 p^2)) N(u; 0, diag(lam^2, lam^-2)/2)."""
+    poly = {}
+    for k in range(n + 1):
+        ck = (-1.0) ** (n + k) * math.comb(n, k) * 2.0 ** k / math.factorial(k)
+        for j in range(k + 1):
+            poly[(2 * j, 2 * (k - j))] = ck * math.comb(k, j) * lam ** (2 * (k - 2 * j))
+    return ((1.0, np.zeros(2), np.diag([lam * lam, 1.0 / (lam * lam)]) / 2.0,
+             MultiPoly(2, poly)),)
 
 
 @dataclass(frozen=True)
 class TargetState:
     """Pure reference state: cat, Fock, or four-component cat, with optional
-    squeezing (coordinate scale lam: x -> x/lam, p -> p*lam along the stated axis)."""
+    squeezing (coordinate scale lam: x -> x/lam, p -> p*lam along the stated axis).
+
+    `terms` holds its Wigner function as Gaussian terms (weight, mean, cov,
+    poly): 4 for a cat, 16 for a four-cat, one Laguerre term for a Fock state.
+    """
 
     kind: str
     params: dict = field(repr=True)
+    terms: tuple = field(init=False, repr=False, compare=False)
 
     @classmethod
     def cat(cls, alpha: float, parity: int = 1, lobe_var: float = 0.5,
@@ -98,81 +113,51 @@ class TargetState:
             raise DomainError(f"amplitude must be >= 0, got {alpha0}")
         return cls("four_cat", {"alpha0": float(alpha0)})
 
-    def wigner(self):
-        """Callable W_t(x, p), normalized to integrate to 1."""
-        if self.kind == "cat":
-            a = self.params["alpha"]
-            par = self.params["parity"]
-            lam = math.sqrt(2.0 * self.params["lobe_var"])
-            base = coherent_superposition_wigner([a, -a], [1.0, float(par)])
-            if self.params["axis"] == "x":
-                return lambda x, p: base(np.asarray(x) / lam, np.asarray(p) * lam)
-            return lambda x, p: base(np.asarray(p) / lam, -np.asarray(x) * lam)
-        if self.kind == "fock":
-            lam = 10.0 ** (self.params["squeeze_db"] / 20.0)
-            base = _fock_wigner(self.params["n"])
-            return lambda x, p: base(np.asarray(x) / lam, np.asarray(p) * lam)
+    def __post_init__(self):
+        if self.kind not in ("cat", "fock", "four_cat"):
+            raise DomainError(f"unknown target kind {self.kind!r}")
+        terms = (_fock_terms(self.params["n"], 10.0 ** (self.params["squeeze_db"] / 20.0))
+                 if self.kind == "fock" else _coherent_terms(*self._superposition()))
+        object.__setattr__(self, "terms", terms)
+
+    def _superposition(self) -> tuple:
+        """(alphas, coeffs, x scale) of a cat or a four-cat."""
         if self.kind == "four_cat":
             a0 = self.params["alpha0"]
             alphas = [a0 * np.exp(1j * (2 * k - 1) * math.pi / 4.0) for k in range(1, 5)]
-            return coherent_superposition_wigner(alphas, [1.0] * 4)
-        raise DomainError(f"unknown target kind {self.kind!r}")
+            return alphas, [1.0] * 4, 1.0
+        a, lam = self.params["alpha"], math.sqrt(2.0 * self.params["lobe_var"])
+        coeffs = [1.0, float(self.params["parity"])]
+        # a P cat is |i a> + parity |-i a> squeezed along p: x is scaled by 1/lam
+        return ([a, -a], coeffs, lam) if self.params["axis"] == "x" else \
+            ([1j * a, -1j * a], coeffs, 1.0 / lam)
+
+    def wigner(self):
+        """Callable W_t(x, p), normalized to integrate to 1: the sum of its terms."""
+        def W(x, p):
+            x, p = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(p, dtype=float))
+            u = np.stack([x.ravel(), p.ravel()], axis=1)
+            return sum((w * _gauss_density(u, m, c)).real * q.evaluate(u)
+                       for w, m, c, q in self.terms).reshape(x.shape)
+        return W
 
     def wavefunction(self):
         """Callable psi(x) on the X axis (complex for P cats / four cats)."""
-        if self.kind == "cat":
-            a = self.params["alpha"]
-            par = self.params["parity"]
-            lam = math.sqrt(2.0 * self.params["lobe_var"])
-            if self.params["axis"] == "x":
-                alphas, coeffs = [a, -a], [1.0, float(par)]
-            else:
-                alphas, coeffs = [1j * a, -1j * a], [1.0, float(par)]
-            return _coherent_superposition_psi(alphas, coeffs, lam,
-                                               self.params["axis"])
-        if self.kind == "fock":
-            n = self.params["n"]
-            lam = 10.0 ** (self.params["squeeze_db"] / 20.0)
-            from numpy.polynomial.hermite import hermval
-            cvec = [0.0] * n + [1.0]
+        if self.kind != "fock":
+            return _coherent_superposition_psi(*self._superposition())
+        n, lam = self.params["n"], 10.0 ** (self.params["squeeze_db"] / 20.0)
+        from numpy.polynomial.hermite import hermval
+        cvec = [0.0] * n + [1.0]
 
-            def psi(x):
-                y = np.asarray(x, dtype=float) / lam
-                raw = hermval(y, cvec) * np.exp(-y * y / 2.0)
-                nrm = math.sqrt(math.sqrt(math.pi) * lam * (2.0 ** n) * math.factorial(n))
-                return raw / nrm
-            return psi
-        if self.kind == "four_cat":
-            a0 = self.params["alpha0"]
-            alphas = [a0 * np.exp(1j * (2 * k - 1) * math.pi / 4.0) for k in range(1, 5)]
-            return _coherent_superposition_psi(alphas, [1.0] * 4, 1.0, "x")
-        raise DomainError(f"unknown target kind {self.kind!r}")
+        def psi(x):
+            y = np.asarray(x, dtype=float) / lam
+            raw = hermval(y, cvec) * np.exp(-y * y / 2.0)
+            nrm = math.sqrt(math.sqrt(math.pi) * lam * (2.0 ** n) * math.factorial(n))
+            return raw / nrm
+        return psi
 
     def wigner_grid(self, grid: GridSpec = GridSpec()) -> np.ndarray:
-        ax = grid.axis
-        X, P = np.meshgrid(ax, ax, indexing="ij")
-        return self.wigner()(X, P)
-
-
-def _coherent_superposition_psi(alphas, coeffs, lam, axis):
-    alphas = [complex(a) for a in alphas]
-    coeffs = [complex(c) for c in coeffs]
-    norm = 0.0
-    for cj, aj in zip(coeffs, alphas):
-        for ck, ak in zip(coeffs, alphas):
-            norm += (cj * np.conj(ck)
-                     * np.exp(-(abs(aj) ** 2 + abs(ak) ** 2) / 2.0
-                              + np.conj(ak) * aj)).real
-    pref = math.pi ** -0.25 / math.sqrt(lam * norm)
-
-    def psi(x):
-        y = np.asarray(x, dtype=float) / lam
-        tot = np.zeros(np.shape(y), dtype=complex)
-        for c, a in zip(coeffs, alphas):
-            tot += c * np.exp(-y * y / 2.0 + SQRT2 * a * y
-                              - a * a / 2.0 - abs(a) ** 2 / 2.0)
-        return pref * tot
-    return psi
+        return self.wigner()(*np.meshgrid(grid.axis, grid.axis, indexing="ij"))
 
 
 # ---------------------------------------------------------------------------
@@ -181,29 +166,19 @@ def _coherent_superposition_psi(alphas, coeffs, lam, axis):
 def _auto_grid(W: PolyGaussian, base: GridSpec = GridSpec()) -> GridSpec:
     sd = np.sqrt(np.diag(W.cov))
     need = float(max(abs(W.mean[0]) + 6.0 * sd[0], abs(W.mean[1]) + 6.0 * sd[1]))
-    if need > base.xmax:
-        n = int(base.n * need / base.xmax) | 1
-        return GridSpec(-need, need, n)
-    return base
+    return GridSpec(-need, need, int(base.n * need / base.xmax) | 1) if need > base.xmax else base
 
 
-def fidelity(W_state: PolyGaussian, target: TargetState,
-             grid: GridSpec | None = None) -> float:
-    """F = <psi_t| rho |psi_t> = 2 pi int(W W_t), clipped to [0, 1]."""
-    if W_state.nvars != 2:
-        raise ContractError("fidelity is defined for 2-variable mechanical states")
+def fidelity(W_state: PolyGaussian, target: TargetState) -> float:
+    """F = <psi_t| rho |psi_t> = 2 pi int(W W_t), clipped to [0, 1]; exact,
+    as a sum of Gaussian-moment integrals over the target's terms."""
     mass = W_state.total_mass()
     if abs(mass - 1.0) > 1e-6:
         raise ContractError(f"state not normalized (mass {mass:.6e})")
-    g = grid or _auto_grid(W_state)
-    field, _ = evaluate_grid(W_state, g)
-    tfield = target.wigner_grid(g)
-    f = 2.0 * math.pi * float(np.sum(field * tfield)) * g.step ** 2
+    f = overlap_terms(W_state, target.terms)
     clipped = min(max(f, 0.0), 1.0)
     if abs(f - clipped) > 1e-9:
-        import warnings
-        warnings.warn(f"fidelity clipped by {abs(f - clipped):.3e}",
-                      RuntimeWarning, stacklevel=2)
+        warnings.warn(f"fidelity clipped by {abs(f - clipped):.3e}", RuntimeWarning, stacklevel=2)
     return clipped
 
 
@@ -327,8 +302,7 @@ def cat_fit(W: PolyGaussian, grid: GridSpec | None = None) -> CatFit | None:
 
 def cat_size(W: PolyGaussian, grid: GridSpec | None = None) -> float | None:
     """|alpha|^2 from the fitted lobes; None when no cat structure is resolved."""
-    fit = cat_fit(W, grid)
-    return None if fit is None else fit.alpha2
+    return getattr(cat_fit(W, grid), "alpha2", None)
 
 
 def _variances(field: np.ndarray, grid: GridSpec) -> tuple[float, float]:
@@ -409,9 +383,8 @@ def best_fock_fidelity(W: PolyGaussian, n: int) -> tuple[float, float]:
     """Fidelity against the best squeezed Fock-n target; returns (F, squeeze_db)."""
     from scipy.optimize import minimize_scalar
 
-    r = minimize_scalar(
-        lambda sdb: -fidelity(W, TargetState.fock(n, squeeze_db=float(sdb))),
-        bounds=(-10.0, 10.0), method="bounded")
+    r = minimize_scalar(lambda sdb: -fidelity(W, TargetState.fock(n, squeeze_db=float(sdb))),
+                        bounds=(-10.0, 10.0), method="bounded")
     return -float(r.fun), float(r.x)
 
 
@@ -448,15 +421,8 @@ def score_state(W: PolyGaussian, target: TargetState | None = None,
     field, _ = evaluate_grid(W, g)
     fit = cat_fit_field(field, g)
     sq = _squeezing(field, g, fit, n, sigma11)
-    tags = {"squeeze": sq}
-    if fit is not None:
-        tags["cat_axis"] = fit.axis
-        tags["cat_dip"] = fit.dip_ratio
-        sq_db = sq.get("lobe_db")
-    else:
-        sq_db = sq["min_var_db"]
-    return StateMetrics(F=f, delta=delta,
-                        alpha2=None if fit is None else fit.alpha2,
-                        squeeze_db=sq_db,
-                        parity=parity_indicator(W),
-                        method_tags=tags)
+    tags = {"squeeze": sq} if fit is None else {
+        "squeeze": sq, "cat_axis": fit.axis, "cat_dip": fit.dip_ratio}
+    sq_db = sq["min_var_db"] if fit is None else sq.get("lobe_db")
+    return StateMetrics(F=f, delta=delta, alpha2=None if fit is None else fit.alpha2,
+                        squeeze_db=sq_db, parity=parity_indicator(W), method_tags=tags)

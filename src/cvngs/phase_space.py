@@ -11,10 +11,11 @@ itself exactly; grids are only a rendering step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
+from scipy.special import comb, ndtr
 
 from .exceptions import ContractError, DomainError
 from .gaussian_core import CovMatrix, SigmaMatrix, amplifier_block
@@ -156,6 +157,13 @@ def _gauss_moment_fn(cov: np.ndarray, mean: np.ndarray):
     return mom
 
 
+def _gauss_density(pts: np.ndarray, mean, cov: np.ndarray) -> np.ndarray:
+    """N(u; mean, cov) at each row u of pts; complex for a complex mean."""
+    d = pts - mean
+    expo = -0.5 * np.einsum("ni,ij,nj->n", d, np.linalg.inv(cov), d)
+    return np.exp(expo) / ((2.0 * np.pi) ** (len(cov) / 2.0) * np.sqrt(np.linalg.det(cov)))
+
+
 @dataclass(frozen=True)
 class PolyGaussian:
     """norm * poly(u) * N(u; mean, cov) over nvars quadratures."""
@@ -190,12 +198,7 @@ class PolyGaussian:
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = self.nvars
-        ci = np.linalg.inv(self.cov)
-        d = pts - self.mean
-        expo = -0.5 * np.einsum("ni,ij,nj->n", d, ci, d)
-        gauss = np.exp(expo) / ((2.0 * np.pi) ** (n / 2.0) * np.sqrt(np.linalg.det(self.cov)))
-        return self.norm * self.poly.evaluate(pts) * gauss
+        return self.norm * self.poly.evaluate(pts) * _gauss_density(pts, self.mean, self.cov)
 
     def __call__(self, *coords) -> float | np.ndarray:
         pts = np.stack(np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in coords]), -1)
@@ -434,9 +437,6 @@ class GridSpec:
     def step(self) -> float:
         return (self.xmax - self.xmin) / (self.n - 1)
 
-    def refined(self) -> "GridSpec":
-        return GridSpec(self.xmin, self.xmax, 2 * self.n - 1)
-
 
 def evaluate_grid(W: PolyGaussian, grid: GridSpec = GridSpec()) -> tuple[np.ndarray, dict]:
     """Row-major field W[x_i, p_j] plus a normalization/clipping report."""
@@ -459,80 +459,105 @@ def evaluate_grid(W: PolyGaussian, grid: GridSpec = GridSpec()) -> tuple[np.ndar
     return field, report
 
 
-def _require_normalized(W: PolyGaussian):
+# quadrature of wigner_negativity
+NEG_SPAN = 12.0    # x range: kernel mean +- NEG_SPAN marginal standard deviations
+NEG_SWEEP = 512    # sweep points bracketing the x where the real-root count changes
+NEG_NODES = 48     # Gauss-Legendre nodes per x panel
+_T_MAX = 30.0      # |t| past which phi(t) t^k underflows to 0
+_GL_T, _GL_W = np.polynomial.legendre.leggauss(NEG_NODES)
+
+
+def _t_polys(W: PolyGaussian, xs: np.ndarray):
+    """At each x: b[:, k], the roots in t (companion eigenvalues) and N(x)."""
+    C, m = W.cov, W.mean
+    kappa = C[0, 1] / C[0, 0]
+    coef = np.zeros([max((e[i] for e in W.poly.terms), default=0) + 1 for i in (0, 1)])
+    for e, c in W.poly.terms.items():
+        coef[e] = c
+    # p^j = sum_k binom(j, k) mu^(j-k) s^k t^k
+    dp = coef.shape[1] - 1
+    j = np.arange(dp + 1)
+    mu = m[1] + kappa * (xs - m[0])
+    T = (comb(j[:, None], j) * (C[1, 1] - kappa * C[0, 1]) ** (j / 2.0)
+         * mu[:, None, None] ** np.maximum(j[:, None] - j, 0))
+    b = W.norm * np.einsum("nj,njk->nk", np.vander(xs, len(coef), increasing=True) @ coef, T)
+    comp = np.zeros((len(xs), dp, dp))
+    comp[:, 1:, :-1] = np.eye(max(dp - 1, 0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        comp[:, :, -1:] = (-b[:, :dp] / b[:, dp:])[:, :, None]
+    comp[~np.isfinite(comp)] = 0.0
+    dens = np.exp(-0.5 * (xs - m[0]) ** 2 / C[0, 0]) / math.sqrt(2.0 * math.pi * C[0, 0])
+    return b, np.linalg.eigvals(comp), dens
+
+
+def wigner_negativity(W: PolyGaussian) -> float:
+    """Wigner negativity delta = integral of (|W| - W) = -2 int min(W, 0).
+
+    At fixed x, W = N(x) phi(t) sum_k b_k(x) t^k with p = mu(x) + s t and phi
+    the standard normal density: the p integral of its negative part is exact,
+    a sum of incomplete Gaussian moments between the roots in t.  The real
+    parts of all roots cut the t axis (a complex pair's cut only splits an
+    interval of one sign).  The x integral is Gauss-Legendre on panels whose
+    edges are the x where the real-root count changes.
+    """
+    if W.nvars != 2:
+        raise ContractError("wigner_negativity is defined for 2-variable states")
     mass = W.total_mass()
     if abs(mass - 1.0) > 1e-6:
         raise ContractError(f"state is not normalized (mass {mass:.6e}); call normalize()")
 
+    def n_real(x):
+        r = _t_polys(W, x)[1]
+        return np.sum(np.abs(r.imag) <= 1e-9 * np.maximum(1.0, np.abs(r.real)), axis=1)
 
-def wigner_negativity(W: PolyGaussian | np.ndarray, method: str = "auto",
-                      tol: float = 1e-3, grid: GridSpec = GridSpec()) -> float:
-    """Wigner negativity delta = integral of (|W| - W).
+    half = NEG_SPAN * math.sqrt(W.cov[0, 0])
+    xs = W.mean[0] + np.linspace(-half, half, NEG_SWEEP)
+    count = n_real(xs)
+    jump = np.flatnonzero(count[1:] != count[:-1])
+    lo, hi = xs[jump], xs[jump + 1]
+    for _ in range(40 if jump.size else 0):     # bisect each bracketed change
+        mid = 0.5 * (lo + hi)
+        same = n_real(mid) == count[jump]
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    edges = np.concatenate([xs[:1], 0.5 * (lo + hi), xs[-1:]])
+    w = 0.5 * np.diff(edges)[:, None]
+    b, roots, dens = _t_polys(W, (edges[:-1, None] + w * (_GL_T + 1.0)).ravel())
+    ends = np.full((len(b), 1), _T_MAX)
+    t = np.concatenate([-ends, np.sort(np.clip(roots.real, -_T_MAX, _T_MAX)), ends], axis=1)
+    # I_k(t) = int_-inf^t u^k phi(u) du: I_0 = Phi, I_1 = -phi, I_k = (k-1) I_(k-2) - t^(k-1) phi
+    tp = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    mom = [ndtr(t), -tp]
+    for k in range(2, b.shape[1]):
+        tp = tp * t
+        mom.append((k - 1) * mom[k - 2] - tp)
+    seg = np.einsum("nk,nik->ni", b, np.diff(np.stack(mom[:b.shape[1]], axis=-1), axis=1))
+    return float(-2.0 * (w * _GL_W).ravel() @ (dens * np.minimum(seg, 0.0).sum(axis=1)))
 
-    method="grid": Riemann sum with resolution doubling until delta moves by
-    less than tol.  method="quad": adaptive quadrature of the negative part
-    (slow, high accuracy).  "auto" uses the grid route.
-    Accepts a rendered field as a plain array (single Riemann sum, no
-    refinement).
-    """
-    if isinstance(W, np.ndarray):
-        n = W.shape[0]
-        step = (grid.xmax - grid.xmin) / (n - 1)
-        return float(np.sum(np.abs(W) - W) * step ** 2)
 
-    _require_normalized(W)
-    if method == "quad":
-        sd = np.sqrt(np.diag(W.cov))
-        lim_x = abs(W.mean[0]) + 8.0 * sd[0] + 2.0
-        lim_p = abs(W.mean[1]) + 8.0 * sd[1] + 2.0
-
-        def neg_part(p, x):
-            v = W.evaluate(np.array([[x, p]]))[0]
-            return -v if v < 0.0 else 0.0
-
-        val, _ = integrate.dblquad(neg_part, -lim_x, lim_x,
-                                   lambda _: -lim_p, lambda _: lim_p,
-                                   epsabs=1e-10, epsrel=1e-9)
-        return 2.0 * float(val)
-
-    g = grid
-    sd = np.sqrt(np.diag(W.cov))
-    need = float(max(abs(W.mean[0]) + 6.0 * sd[0], abs(W.mean[1]) + 6.0 * sd[1]))
-    if need > g.xmax:
-        g = GridSpec(-need, need, g.n)
-    field, _ = evaluate_grid(W, g)
-    delta = float(np.sum(np.abs(field) - field) * g.step ** 2)
-    for _ in range(4):
-        g = g.refined()
-        field, _ = evaluate_grid(W, g)
-        new = float(np.sum(np.abs(field) - field) * g.step ** 2)
-        if abs(new - delta) < tol:
-            return new
-        delta = new
-    return delta
+def overlap_terms(W: PolyGaussian, terms) -> float:
+    """Re 2 pi * int W(u) sum_k w_k poly_k(u) N(u; m_k, cov_k), exactly: each
+    product is a poly-Gaussian whose integral is a Gaussian-moment sum.  The
+    weights w_k and means m_k may be complex (coherent-state superpositions);
+    the moment recursion holds unchanged for a complex mean."""
+    if W.nvars != 2 or any(np.shape(term[1]) != (2,) for term in terms):
+        raise ContractError("overlap is defined for 2-variable states")
+    A1 = np.linalg.inv(W.cov)
+    a1 = A1 @ W.mean
+    const1 = W.mean @ a1 + np.linalg.slogdet(W.cov)[1]
+    total = 0.0
+    for w, mean, cov, poly in terms:
+        A2 = np.linalg.inv(cov)
+        pcov = np.linalg.inv(A1 + A2)
+        pcov = 0.5 * (pcov + pcov.T)
+        b = a1 + A2 @ mean
+        pmean = pcov @ b
+        log_c = -0.5 * (const1 + mean @ A2 @ mean - b @ pmean + np.linalg.slogdet(cov)[1]
+                        - np.linalg.slogdet(pcov)[1])
+        mom = _gauss_moment_fn(pcov, pmean)
+        total += w * np.exp(log_c) * sum(c * mom(e) for e, c in (W.poly * poly).terms.items())
+    return W.norm * float(np.real(total))
 
 
 def overlap(W1: PolyGaussian, W2: PolyGaussian) -> float:
-    """2 pi * integral(W1 W2): the state overlap when at least one is pure.
-
-    Computed exactly: the product of two poly-Gaussians is again a
-    poly-Gaussian, whose total mass is a Gaussian-moment sum.
-    """
-    if W1.nvars != 2 or W2.nvars != 2:
-        raise ContractError("overlap is defined for 2-variable states")
-    A1 = np.linalg.inv(W1.cov)
-    A2 = np.linalg.inv(W2.cov)
-    A = A1 + A2
-    cov = np.linalg.inv(A)
-    cov = 0.5 * (cov + cov.T)
-    b = A1 @ W1.mean + A2 @ W2.mean
-    mean = cov @ b
-    quad_const = (W1.mean @ A1 @ W1.mean + W2.mean @ A2 @ W2.mean - b @ mean)
-    log_c = (-0.5 * quad_const
-             + 0.5 * np.linalg.slogdet(cov)[1]
-             - 0.5 * np.linalg.slogdet(W1.cov)[1]
-             - 0.5 * np.linalg.slogdet(W2.cov)[1]
-             - np.log(2.0 * np.pi))
-    prod = PolyGaussian(cov, mean, W1.poly * W2.poly,
-                        W1.norm * W2.norm * float(np.exp(log_c)))
-    return 2.0 * np.pi * prod.total_mass()
+    """2 pi * integral(W1 W2): the state overlap when at least one is pure."""
+    return overlap_terms(W1, [(W2.norm, W2.mean, W2.cov, W2.poly)])

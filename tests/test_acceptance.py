@@ -351,7 +351,7 @@ class TestCriterion10Properties:
 
     def test_fock1_negativity(self):
         from tests.test_phase_space import fock1_wigner
-        delta = cv.wigner_negativity(fock1_wigner(), method="quad")
+        delta = cv.wigner_negativity(fock1_wigner())
         ref = 4.0 * math.exp(-0.5) - 2.0
         report(10, abs(delta - ref) < 1e-6,
                f"delta(Fock-1)={delta:.8f} vs {ref:.8f}")

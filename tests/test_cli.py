@@ -46,9 +46,15 @@ class TestValidation:
         {"command": "eps", "grid": {"xmin": 7.0}},
         {"command": "figures", "figure": {"which": "fig2c", "eta": 0.9}},
         {"command": "gain-solve", "out_dir": "elsewhere"},
+        {"command": "gain-solve", "pulse": {"tau_ns": float("nan")}},
+        {"command": "eps", "grid": {"xmax": float("inf")}},
+        {"command": "entanglement-sweep", "sweep": {"r_grid": [0.5, float("-inf")]}},
+        {"command": "oracle", "measurement": {"theta": 0.7}},
+        {"command": "figures", "figure": {"which": "fig2c", "mu": 0.5}},
     ], ids=["float-int", "bool-int", "R-exclusive-min", "empty-array", "unknown-command",
             "missing-command", "xmax-eq-xmin", "xmin-past-default-xmax",
-            "figure-eta", "out-dir"])
+            "figure-eta", "out-dir", "nan", "infinity", "minus-infinity-item",
+            "oracle-theta", "figure-mu-unread"])
     def test_schema_rejects(self, tmp_path, manifest):
         assert run(manifest, tmp_path) == EXIT_VALIDATION
         assert read_json(tmp_path / "report.json")["error"]["kind"] == "validation"
@@ -190,6 +196,15 @@ class TestMainEntry:
         mp.write_text(text)
         assert main(["eps", "--manifest", str(mp), "--out", str(tmp_path / "o")]) \
             == EXIT_VALIDATION
+
+    def test_nan_manifest_file(self, tmp_path):
+        # json.load reads the non-standard NaN token; validation must refuse it
+        mp = tmp_path / "m.json"
+        mp.write_text('{"command": "gain-solve", "pulse": {"tau_ns": NaN}}')
+        assert main(["gain-solve", "--manifest", str(mp), "--out", str(tmp_path / "o")]) \
+            == EXIT_VALIDATION
+        report = (tmp_path / "o" / "report.json").read_text()
+        assert "NaN" not in report and "validation" in report
 
     def test_manifest_file(self, tmp_path):
         mp = tmp_path / "m.json"

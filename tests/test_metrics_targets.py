@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cvngs import (EpsStage, GridSpec, PipelineSpec,
+from cvngs import (EpsStage, GridSpec, MeasurementSpec, PipelineSpec,
                    PulseSpec, SystemParams, TargetState, cat_fit, cat_size,
-                   covariance_after_pulse, eps_pipeline, fidelity,
-                   gaussian_wigner, initial_covariance, marginal,
+                   covariance_after_pulse, eps_pipeline, evaluate_grid, fidelity,
+                   four_cat_pipeline, gaussian_wigner, initial_covariance, marginal,
                    parity_indicator, quadrature_variances, score_state,
                    sigma_from_cov, solve_gain, squeezing_estimate)
 from cvngs.exceptions import ContractError, DomainError
@@ -44,6 +44,20 @@ class TestTargets:
         psi = t.wavefunction()
         dens = np.abs(psi(g.axis)) ** 2
         assert np.abs(marg - dens).max() < 1e-8
+
+    @pytest.mark.parametrize("t", [
+        TargetState.cat(1.3, 1, lobe_var=0.3, axis="x"),
+        TargetState.cat(1.3, -1, lobe_var=0.3, axis="p"),
+        TargetState.fock(3, squeeze_db=-2.5),
+        TargetState.four_cat(1.6)], ids=["cat-x", "cat-p", "fock", "four-cat"])
+    def test_wigner_terms_match_wavefunction(self, t):
+        # W(x, p) = (1/pi) int psi*(x + y) psi(x - y) e^{2ipy} dy
+        psi = t.wavefunction()
+        y = np.linspace(-12.0, 12.0, 6001)
+        for x, p in ((0.1, 0.2), (-0.7, 0.4), (1.1, -0.9), (0.0, 1.5)):
+            ref = np.sum(np.conj(psi(x + y)) * psi(x - y) * np.exp(2j * p * y)).real
+            assert t.wigner()(x, p) == pytest.approx(ref * (y[1] - y[0]) / math.pi,
+                                                     abs=1e-12)
 
     def test_four_cat_wavefunction_normalized(self):
         psi = TargetState.four_cat(1.6).wavefunction()
@@ -96,6 +110,46 @@ class TestFidelity:
         assert fidelity(W, t) > 0.99
 
 
+def measured_state(xi, n=2, theta=0.35, zeta=0.5):
+    p = SystemParams(3.0, 7.0, 0.0).with_squeeze_db(-6.0)
+    V = covariance_after_pulse(p, PulseSpec(0.9))
+    sig = sigma_from_cov(V)
+    spec = PipelineSpec(stages=(EpsStage(solve_gain(sig, xi), n),),
+                        measurement=MeasurementSpec(theta=theta, zeta=zeta))
+    return eps_pipeline(V, spec), sig
+
+
+class TestExactFidelity:
+    """The exact term-sum overlap against 2 pi sum(W W_t) h^2 on a fine grid."""
+
+    @staticmethod
+    def grid_fidelity(W, target):
+        g = GridSpec(-8.0, 8.0, 401)
+        field, _ = evaluate_grid(W, g)
+        return 2.0 * math.pi * float(np.sum(field * target.wigner_grid(g))) * g.step ** 2
+
+    @pytest.mark.parametrize("xi, target", [
+        (1.0, TargetState.cat(math.sqrt(2.0), 1, lobe_var=0.3, axis="p")),
+        (0.0, TargetState.cat(math.sqrt(2.0), 1, lobe_var=0.4, axis="x")),
+        (0.5, TargetState.fock(2, squeeze_db=-2.0)),
+    ], ids=["cat-p", "cat-x", "fock"])
+    def test_matches_grid(self, xi, target):
+        W, _ = measured_state(xi)
+        ref = self.grid_fidelity(W, target)
+        assert ref > 0.3
+        assert abs(fidelity(W, target) - ref) < 1e-9
+
+    def test_four_cat_matches_grid(self):
+        V = covariance_after_pulse(SystemParams(3.0, 7.0, 0.0).with_squeeze_db(-6.0),
+                                   PulseSpec(0.9))
+        meas = MeasurementSpec(theta=0.2, zeta=0.3, eps=0.01)
+        W = four_cat_pipeline(V, 0.0, meas)["state"]
+        target = TargetState.four_cat(1.6)
+        ref = self.grid_fidelity(W, target)
+        assert ref > 0.1
+        assert abs(fidelity(W, target) - ref) < 1e-9
+
+
 class TestCatSize:
     @pytest.mark.parametrize("alpha2", [1.0, 2.0, 4.0])
     @pytest.mark.parametrize("squeeze_db", [0.0, -6.0, 6.0])
@@ -112,6 +166,15 @@ class TestCatSize:
         g = GridSpec(-8.0, 8.0, 401)
         fit = cat_fit_field(t.wigner_grid(g), g)
         assert fit is not None and fit.axis == "p"
+
+    def test_squeezed_p_cat_lobes(self):
+        # lobe_var is the lobe variance along p for a P cat
+        t = TargetState.cat(math.sqrt(2.0), 1, lobe_var=0.3, axis="p")
+        g = GridSpec(-8.0, 8.0, 401)
+        fit = cat_fit_field(t.wigner_grid(g), g)
+        assert fit is not None and fit.axis == "p"
+        assert fit.lobe_var == pytest.approx(0.3, abs=0.01)
+        assert fit.alpha2 == pytest.approx(2.0, abs=0.05)
 
     def test_pipeline_cat_sizes(self):
         for xi in (0.0, 1.0):

@@ -215,12 +215,35 @@ class TestGridAndNegativity:
         assert abs(W.total_mass() - 1.0) < 1e-12
 
     def test_fock1_negativity_analytic(self):
-        delta = wigner_negativity(fock1_wigner(), method="quad")
+        delta = wigner_negativity(fock1_wigner())
         assert abs(delta - (4.0 * math.exp(-0.5) - 2.0)) < 1e-6
 
     def test_gaussian_negativity_zero(self):
-        W = marginal(gaussian_wigner(pulsed_V()), [0, 1])
-        assert wigner_negativity(W) < 1e-12
+        for W in (marginal(gaussian_wigner(pulsed_V()), [0, 1]),
+                  project_XC(gaussian_wigner(pulsed_V(R=0.7)), eps=0.1, zeta=1.2)):
+            assert wigner_negativity(W) < 1e-12
+
+    @pytest.mark.parametrize("n, theta", [(2, 0.3), (3, 0.5), (6, 0.2)])
+    def test_negativity_matches_fine_grid(self, n, theta):
+        from cvngs import EpsStage, MeasurementSpec, PipelineSpec, eps_pipeline, solve_gain
+        V = pulsed_V(R=0.9, gamma=0.0)
+        spec = PipelineSpec(stages=(EpsStage(solve_gain(sigma_from_cov(V), 0.5), n),),
+                            measurement=MeasurementSpec(theta=theta, zeta=0.4))
+        W = eps_pipeline(V, spec)
+        # Riemann sum of |W| - W on a 1601^2 grid; the polynomial on the grid
+        # is V_x C V_p^T with C its dense coefficient matrix
+        half = float(np.max(np.abs(W.mean) + 9.0 * np.sqrt(np.diag(W.cov))))
+        ax = np.linspace(-half, half, 1601)
+        coef = np.zeros((W.poly.degree + 1,) * 2)
+        for (i, j), c in W.poly.terms.items():
+            coef[i, j] = c
+        vander = np.vander(ax, len(coef), increasing=True)
+        X, P = np.meshgrid(ax, ax, indexing="ij")
+        kernel = PolyGaussian(W.cov, W.mean, MultiPoly.constant(2), W.norm)
+        field = (vander @ coef @ vander.T) * kernel(X, P)
+        riemann = float(np.sum(np.abs(field) - field)) * (ax[1] - ax[0]) ** 2
+        assert riemann > 0.5
+        assert abs(wigner_negativity(W) - riemann) < 1e-5
 
     def test_unnormalized_rejected(self):
         W = marginal(gaussian_wigner(pulsed_V()), [0, 1])
