@@ -171,11 +171,12 @@ def _pipeline_of(manifest, sigma) -> PipelineSpec:
 # serialization helpers (deterministic, no timestamps)
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v)
-                              for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Floats as %.12g, anything else as str, through one %-template taken from
+    the first row (each column keeps one type)."""
+    rows = list(rows)
+    line = ",".join("%.12g" if isinstance(v, float) else "%s" for v in rows[0]) if rows else ""
+    body = (line + "\n") * len(rows) % tuple(v for row in rows for v in row)
+    path.write_text(",".join(header) + "\n" + body)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -184,9 +185,9 @@ def _write_json(path: Path, obj) -> None:
 
 def _write_wigner(outdir: Path, name: str, field: np.ndarray, grid: GridSpec,
                   report: dict) -> list[str]:
-    ax = grid.axis
-    rows = [(x, p, field[i, j]) for i, x in enumerate(ax) for j, p in enumerate(ax)]
-    _write_csv(outdir / f"{name}.csv", ["X", "P", "W"], rows)
+    X, P = np.meshgrid(grid.axis, grid.axis, indexing="ij")
+    _write_csv(outdir / f"{name}.csv", ["X", "P", "W"],
+               np.stack([X.ravel(), P.ravel(), field.ravel()], axis=1).tolist())
     _write_json(outdir / f"{name}.json",
                 {"grid": {"xmin": grid.xmin, "xmax": grid.xmax, "n": grid.n},
                  "convention": CONVENTION_TAG, "normalization": report})

@@ -1,10 +1,10 @@
 """Ideal target states and quality metrics for synthesized mechanical states.
 
 Targets are pure states held as sums of Gaussian terms (complex means for the
-cat superpositions, a Laguerre polynomial for Fock states).  Fidelity against
-a pure target is the phase-space overlap 2 pi * int(W W_t), computed exactly
-term by term; the negativity is exact as well (phase_space).  Grids serve only
-the cat-lobe fit and the squeezing estimate, which read a rendered field.
+cat superpositions, a Laguerre polynomial for Fock states).  Every metric is
+exact: the fidelity 2 pi * int(W W_t) term by term, the negativity (phase_space),
+and the cat-lobe fit and the squeezing on the exact 1-D quadrature marginals.
+Grids serve only rendering and cross-checks in the tests.
 """
 
 from __future__ import annotations
@@ -15,19 +15,15 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-from scipy.special import erf
+from numpy.polynomial import polynomial as P
 
 from .exceptions import ContractError, DomainError
 from .phase_space import (GridSpec, MultiPoly, PolyGaussian, _gauss_density,
-                          evaluate_grid, overlap_terms, wigner_negativity)
+                          marginal, normalize, overlap_terms, translate,
+                          wigner_negativity)
 
 SQRT2 = math.sqrt(2.0)
 _ONE = MultiPoly.constant(2)
-
-# truncated-second-moment correction for a +-2 sigma window of a Gaussian lobe
-_PHI2 = math.exp(-2.0) / math.sqrt(2.0 * math.pi)
-_MASS2 = erf(2.0 / SQRT2)
-TRUNC_CORRECTION = 1.0 - 4.0 * _PHI2 / _MASS2
 
 
 def _pair_weights(alphas, coeffs) -> list:
@@ -163,12 +159,6 @@ class TargetState:
 # ---------------------------------------------------------------------------
 # metrics
 
-def _auto_grid(W: PolyGaussian, base: GridSpec = GridSpec()) -> GridSpec:
-    sd = np.sqrt(np.diag(W.cov))
-    need = float(max(abs(W.mean[0]) + 6.0 * sd[0], abs(W.mean[1]) + 6.0 * sd[1]))
-    return GridSpec(-need, need, int(base.n * need / base.xmax) | 1) if need > base.xmax else base
-
-
 def fidelity(W_state: PolyGaussian, target: TargetState) -> float:
     """F = <psi_t| rho |psi_t> = 2 pi int(W W_t), clipped to [0, 1]; exact,
     as a sum of Gaussian-moment integrals over the target's terms."""
@@ -196,132 +186,110 @@ class CatFit:
     dip_ratio: float     # central marginal value / peak value (bimodality witness)
 
 
-def _cat_marginal_model(ax, xbar, v, parity):
-    """Marginal density of the ideal squeezed cat with lobes at +-xbar."""
-    gp = np.exp(-(ax - xbar) ** 2 / (2.0 * v))
-    gm = np.exp(-(ax + xbar) ** 2 / (2.0 * v))
-    cross = 2.0 * parity * math.exp(-xbar ** 2 / (2.0 * v)) * np.exp(-ax ** 2 / (2.0 * v))
-    dens = gp + gm + cross
-    mass = dens.sum() * (ax[1] - ax[0])
-    return dens / mass if mass > 0 else dens
+def _marginals(W: PolyGaussian):
+    """The exact X and P marginals m(x) = q(x) N(x; mu, s) of W, each as
+    (q ascending coefficients with the norm folded in, mu, s)."""
+    for i in (0, 1):
+        M = marginal(W, [i])
+        q = [M.poly.terms.get((k,), 0.0) for k in range(M.poly.degree + 1)]
+        yield M.norm * np.array(q), float(M.mean[0]), float(M.cov[0, 0])
 
 
-def _fit_axis(m: np.ndarray, ax: np.ndarray) -> dict | None:
-    step = ax[1] - ax[0]
-    peaks = [i for i in range(1, len(m) - 1)
-             if m[i] >= m[i - 1] and m[i] > m[i + 1] and m[i] > 0.2 * m.max()]
-    if len(peaks) < 2:
+def _expect(q, mean, var):
+    """E[q(x)] for x ~ N(mean, var), mean a scalar or an array of means, from
+    the raw moments M_k = mean M_(k-1) + (k-1) var M_(k-2)."""
+    mom = [1.0, mean]
+    for k in range(2, len(q)):
+        mom.append(mean * mom[-1] + (k - 1) * var * mom[-2])
+    return sum(c * mk for c, mk in zip(q, mom))
+
+
+def _variance(q, mu, s) -> float:
+    """Var of the marginal m = q N(mu, s), from its raw moments."""
+    return float(_expect(np.r_[0.0, 0.0, q], mu, s) - _expect(np.r_[0.0, q], mu, s) ** 2)
+
+
+def _cat_cost_fn(q, mu, s):
+    """cost((xb, v), parity) = int (model - m / mass)^2 dx in closed form, with
+    model the normalized marginal of the ideal squeezed cat with lobes at +-xb
+    of variance v: sum_i w_i N(x; c_i, v) over the centres (xb, -xb, 0)."""
+    mass = _expect(q, mu, s)
+    m_sq = _expect(P.polymul(q, q), mu, s / 2.0) / math.sqrt(4.0 * math.pi * s) / mass ** 2
+
+    def cost(z, parity):
+        xb, v = z
+        if xb <= 0 or v <= 1e-4 or 1.0 + parity * math.exp(-xb * xb / (2.0 * v)) < 5e-4:
+            return 1e6      # odd model at xb -> 0: w = a / sum(a) loses all precision
+        c = np.array([xb, -xb, 0.0])
+        a = np.array([1.0, 1.0, 2.0 * parity * math.exp(-xb * xb / (2.0 * v))])
+        w = a / a.sum()
+        d = c[:, None] - c
+        model_sq = w @ np.exp(-d * d / (4.0 * v)) @ w / math.sqrt(4.0 * math.pi * v)
+        t = v + s
+        cross = w @ (np.exp(-(c - mu) ** 2 / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
+                     * _expect(q, (c * s + mu * v) / t, v * s / t)) / mass
+        return float(model_sq - 2.0 * cross + m_sq)
+    return cost
+
+
+def _fit_axis(axis: str, q, mu, s) -> CatFit | None:
+    # critical points of m: real roots of d = s q' - (x - mu) q, as m' = N d / s
+    d = P.polysub(s * P.polyder(q), P.polymul([-mu, 1.0], q))
+    r = P.polyroots(d)
+    x = np.sort(r.real[np.abs(r.imag) <= 1e-9 * np.maximum(1.0, np.abs(r.real))])
+
+    def m(y):
+        return P.polyval(y, q) * np.exp(-(y - mu) ** 2 / (2.0 * s))
+
+    # lobes: maxima (m'' = N d' / s < 0) above a fifth of the highest
+    mx, dd = m(x), P.polyval(x, P.polyder(d))
+    peaks = np.flatnonzero((dd < 0) & (mx > 0.2 * mx.max(initial=0.0)))
+    if len(peaks) < 2 or not (x[peaks[0]] < -0.1 and x[peaks[-1]] > 0.1):
         return None
-    iL, iR = peaks[0], peaks[-1]
-    if not (ax[iL] < -0.1 and ax[iR] > 0.1):
-        return None
-
-    def refine(i):
-        y0, y1, y2 = m[i - 1], m[i], m[i + 1]
-        den = y0 - 2.0 * y1 + y2
-        return ax[i] + (0.5 * (y0 - y2) / den) * step if den != 0 else ax[i]
-
-    xl, xr = refine(iL), refine(iR)
-    mid = np.argmin(np.abs(ax - 0.5 * (xl + xr)))
-    dip = float(m[mid] / min(m[iL], m[iR]))
+    ends = peaks[[0, -1]]
+    xl, xr = x[ends]
+    dip = float(m(0.5 * (xl + xr)) / mx[ends].min())
     if dip > 0.98:
         return None
-
-    # seed lobe variance: second moment in a +-2 sigma window, truncation-corrected,
-    # started from a log-parabola curvature fit
-    def lobe_variance(xp):
-        sel = np.abs(ax - xp) < max(3 * step, 0.5)
-        z = np.polyfit(ax[sel] - xp, np.log(np.maximum(m[sel], 1e-300)), 2)
-        v = -1.0 / (2.0 * z[0]) if z[0] < 0 else 0.25
-        for _ in range(3):
-            half = 2.0 * math.sqrt(max(v, 1e-6))
-            sel = np.abs(ax - xp) <= half
-            w = m[sel]
-            if w.sum() <= 0:
-                break
-            raw = float(np.sum(w * (ax[sel] - xp) ** 2) / np.sum(w))
-            v = raw / TRUNC_CORRECTION
-        return v
-
-    v0 = 0.5 * (lobe_variance(xl) + lobe_variance(xr))
-    x0 = 0.5 * (xr - xl)
+    # seed lobe variance: -1 / (log m)'' = -s q / d' at the two outer lobes
+    v0 = float(np.mean(-s * P.polyval(x[ends], q) / dd[ends]))
+    x0 = float(0.5 * (xr - xl))
 
     # refine against the two-lobe cat-marginal model; corrects the bias of the
     # bare peak reading when the lobes overlap (small |alpha|^2)
     from scipy.optimize import minimize
-
-    dens = np.maximum(m, 0.0)
-    mass = dens.sum() * step
-    if mass > 0:
-        dens = dens / mass
-
-        def cost(q, parity):
-            xb, lv = q
-            if xb <= 0 or lv <= 1e-4:
-                return 1e6
-            return float(np.sum((_cat_marginal_model(ax, xb, lv, parity) - dens) ** 2))
-
-        best = None
-        for parity in (+1, -1):
-            r = minimize(cost, [max(x0, 0.05), v0], args=(parity,),
-                         method="Nelder-Mead",
+    cost = _cat_cost_fn(q, mu, s)
+    best = min((minimize(cost, [max(x0, 0.05), v0], args=(parity,), method="Nelder-Mead",
                          options={"xatol": 1e-6, "fatol": 1e-12, "maxiter": 400})
-            if best is None or r.fun < best.fun:
-                best = r
-        xb, vl = float(best.x[0]), float(best.x[1])
-        if 0.2 * x0 < xb < 5.0 * max(x0, 0.1) and 0.05 * v0 < vl < 20.0 * v0:
-            x0, v0 = xb, vl
-
-    return {"x_star": x0, "lobe_var": v0,
-            "alpha2": x0 ** 2 / (4.0 * v0), "dip": dip}
+                for parity in (+1, -1)), key=lambda r: r.fun)
+    xb, vl = float(best.x[0]), float(best.x[1])
+    if 0.2 * x0 < xb < 5.0 * max(x0, 0.1) and 0.05 * v0 < vl < 20.0 * v0:
+        x0, v0 = xb, vl
+    return CatFit(axis, x0, v0, x0 ** 2 / (4.0 * v0), dip)
 
 
-def cat_fit_field(field: np.ndarray, grid: GridSpec) -> CatFit | None:
-    """Two-lobe fit on a rendered Wigner field (row-major [x, p])."""
-    mx = field.sum(axis=1) * grid.step
-    mp = field.sum(axis=0) * grid.step
-    cands = {}
-    for name, m in (("x", mx), ("p", mp)):
-        r = _fit_axis(m, grid.axis)
-        if r is not None:
-            cands[name] = r
-    if not cands:
-        return None
-    # prefer the axis with the deeper central dip (true cat lobes, not fringes)
-    name = min(cands, key=lambda k: cands[k]["dip"])
-    r = cands[name]
-    return CatFit(name, r["x_star"], r["lobe_var"], r["alpha2"], r["dip"])
+def cat_fit(W: PolyGaussian) -> CatFit | None:
+    """Two-lobe fit on the exact quadrature marginals; None without cat structure."""
+    return _fit_and_squeezing(W)[1]
 
 
-def cat_fit(W: PolyGaussian, grid: GridSpec | None = None) -> CatFit | None:
-    """Locate the two-lobe structure; returns None when no cat structure exists."""
-    g = grid or _auto_grid(W)
-    field, _ = evaluate_grid(W, g)
-    return cat_fit_field(field, g)
-
-
-def cat_size(W: PolyGaussian, grid: GridSpec | None = None) -> float | None:
+def cat_size(W: PolyGaussian) -> float | None:
     """|alpha|^2 from the fitted lobes; None when no cat structure is resolved."""
-    return getattr(cat_fit(W, grid), "alpha2", None)
+    return getattr(cat_fit(W), "alpha2", None)
 
 
-def _variances(field: np.ndarray, grid: GridSpec) -> tuple[float, float]:
-    ax, step = grid.axis, grid.step
-    mx = field.sum(axis=1) * step
-    mp = field.sum(axis=0) * step
-    vx = float(np.sum(mx * ax ** 2) * step - (np.sum(mx * ax) * step) ** 2)
-    vp = float(np.sum(mp * ax ** 2) * step - (np.sum(mp * ax) * step) ** 2)
-    return vx, vp
+def quadrature_variances(W: PolyGaussian) -> tuple[float, float]:
+    return tuple(_variance(*mg) for mg in _marginals(W))
 
 
-def quadrature_variances(W: PolyGaussian, grid: GridSpec | None = None) -> tuple[float, float]:
-    g = grid or _auto_grid(W)
-    return _variances(evaluate_grid(W, g)[0], g)
-
-
-def _squeezing(field: np.ndarray, grid: GridSpec, fit: CatFit | None,
-               n: int | None, sigma11: float | None) -> dict:
-    vx, vp = _variances(field, grid)
+def _fit_and_squeezing(W: PolyGaussian, n: int | None = None,
+                       sigma11: float | None = None) -> tuple[dict, CatFit | None]:
+    """The squeezing_estimate dict and the cat fit whose lobes it reads."""
+    margs = list(_marginals(W))
+    # prefer the axis with the deeper central dip (true cat lobes, not fringes)
+    fit = min(filter(None, (_fit_axis(a, *mg) for a, mg in zip("xp", margs))),
+              key=lambda f: f.dip_ratio, default=None)
+    vx, vp = (_variance(*mg) for mg in margs)
     out = {"min_var_db": 10.0 * math.log10(2.0 * min(vx, vp)),
            "var_x": vx, "var_p": vp, "method": "min_var"}
     if n is not None:
@@ -331,12 +299,11 @@ def _squeezing(field: np.ndarray, grid: GridSpec, fit: CatFit | None,
     if sigma11 is not None:
         out["sigma_fock_db"] = -10.0 * math.log10(sigma11)
         out["sigma_cat_db"] = -10.0 * math.log10(2.0 * sigma11)
-    return out
+    return out, fit
 
 
 def squeezing_estimate(W: PolyGaussian, n: int | None = None,
-                       sigma11: float | None = None,
-                       grid: GridSpec | None = None) -> dict:
+                       sigma11: float | None = None) -> dict:
     """Squeezing of the state in dB (negative = below vacuum), several methods.
 
     min_var_db:   10 log10(2 min(Var X, Var P))
@@ -345,9 +312,7 @@ def squeezing_estimate(W: PolyGaussian, n: int | None = None,
     sigma_fock_db / sigma_cat_db: the mapping prescription -10 log10(sigma11)
                   and -10 log10(2 sigma11), given the pre-measurement sigma11
     """
-    g = grid or _auto_grid(W)
-    field, _ = evaluate_grid(W, g)
-    return _squeezing(field, g, cat_fit_field(field, g), n, sigma11)
+    return _fit_and_squeezing(W, n, sigma11)[0]
 
 
 def best_cat_fidelity(W: PolyGaussian, axis: str, parity: int = 1,
@@ -356,8 +321,6 @@ def best_cat_fidelity(W: PolyGaussian, axis: str, parity: int = 1,
 
     Displaced states are recentred first; returns (F, (alpha2, lobe_var))."""
     from scipy.optimize import minimize
-
-    from .phase_space import normalize, translate
 
     Wc = W
     if np.abs(W.mean).max() > 1e-9:
@@ -417,10 +380,7 @@ def score_state(W: PolyGaussian, target: TargetState | None = None,
     squeezing estimate and parity indicator."""
     f = fidelity(W, target) if target is not None else None
     delta = wigner_negativity(W)
-    g = _auto_grid(W)
-    field, _ = evaluate_grid(W, g)
-    fit = cat_fit_field(field, g)
-    sq = _squeezing(field, g, fit, n, sigma11)
+    sq, fit = _fit_and_squeezing(W, n, sigma11)
     tags = {"squeeze": sq} if fit is None else {
         "squeeze": sq, "cat_axis": fit.axis, "cat_dip": fit.dip_ratio}
     sq_db = sq["min_var_db"] if fit is None else sq.get("lobe_db")

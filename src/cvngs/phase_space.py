@@ -467,8 +467,9 @@ _T_MAX = 30.0      # |t| past which phi(t) t^k underflows to 0
 _GL_T, _GL_W = np.polynomial.legendre.leggauss(NEG_NODES)
 
 
-def _t_polys(W: PolyGaussian, xs: np.ndarray):
-    """At each x: b[:, k], the roots in t (companion eigenvalues) and N(x)."""
+def _t_polys(W: PolyGaussian):
+    """xs -> (b[:, k], the roots in t (companion eigenvalues), N(x)) at each x;
+    the coefficients, binomial table and companion scaffold are built once."""
     C, m = W.cov, W.mean
     kappa = C[0, 1] / C[0, 0]
     coef = np.zeros([max((e[i] for e in W.poly.terms), default=0) + 1 for i in (0, 1)])
@@ -477,17 +478,22 @@ def _t_polys(W: PolyGaussian, xs: np.ndarray):
     # p^j = sum_k binom(j, k) mu^(j-k) s^k t^k
     dp = coef.shape[1] - 1
     j = np.arange(dp + 1)
-    mu = m[1] + kappa * (xs - m[0])
-    T = (comb(j[:, None], j) * (C[1, 1] - kappa * C[0, 1]) ** (j / 2.0)
-         * mu[:, None, None] ** np.maximum(j[:, None] - j, 0))
-    b = W.norm * np.einsum("nj,njk->nk", np.vander(xs, len(coef), increasing=True) @ coef, T)
-    comp = np.zeros((len(xs), dp, dp))
-    comp[:, 1:, :-1] = np.eye(max(dp - 1, 0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        comp[:, :, -1:] = (-b[:, :dp] / b[:, dp:])[:, :, None]
-    comp[~np.isfinite(comp)] = 0.0
-    dens = np.exp(-0.5 * (xs - m[0]) ** 2 / C[0, 0]) / math.sqrt(2.0 * math.pi * C[0, 0])
-    return b, np.linalg.eigvals(comp), dens
+    binom_s = comb(j[:, None], j) * (C[1, 1] - kappa * C[0, 1]) ** (j / 2.0)
+    expo = np.maximum(j[:, None] - j, 0)
+    scaffold = np.zeros((dp, dp))
+    scaffold[1:, :-1] = np.eye(max(dp - 1, 0))
+
+    def at(xs):
+        mu = m[1] + kappa * (xs - m[0])
+        T = binom_s * mu[:, None, None] ** expo
+        b = W.norm * np.einsum("nj,njk->nk", np.vander(xs, len(coef), increasing=True) @ coef, T)
+        comp = np.repeat(scaffold[None], len(xs), axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            comp[:, :, -1:] = (-b[:, :dp] / b[:, dp:])[:, :, None]
+        comp[~np.isfinite(comp)] = 0.0
+        dens = np.exp(-0.5 * (xs - m[0]) ** 2 / C[0, 0]) / math.sqrt(2.0 * math.pi * C[0, 0])
+        return b, np.linalg.eigvals(comp), dens
+    return at
 
 
 def wigner_negativity(W: PolyGaussian) -> float:
@@ -506,8 +512,10 @@ def wigner_negativity(W: PolyGaussian) -> float:
     if abs(mass - 1.0) > 1e-6:
         raise ContractError(f"state is not normalized (mass {mass:.6e}); call normalize()")
 
+    t_polys = _t_polys(W)
+
     def n_real(x):
-        r = _t_polys(W, x)[1]
+        r = t_polys(x)[1]
         return np.sum(np.abs(r.imag) <= 1e-9 * np.maximum(1.0, np.abs(r.real)), axis=1)
 
     half = NEG_SPAN * math.sqrt(W.cov[0, 0])
@@ -521,7 +529,7 @@ def wigner_negativity(W: PolyGaussian) -> float:
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
     edges = np.concatenate([xs[:1], 0.5 * (lo + hi), xs[-1:]])
     w = 0.5 * np.diff(edges)[:, None]
-    b, roots, dens = _t_polys(W, (edges[:-1, None] + w * (_GL_T + 1.0)).ravel())
+    b, roots, dens = t_polys((edges[:-1, None] + w * (_GL_T + 1.0)).ravel())
     ends = np.full((len(b), 1), _T_MAX)
     t = np.concatenate([-ends, np.sort(np.clip(roots.real, -_T_MAX, _T_MAX)), ends], axis=1)
     # I_k(t) = int_-inf^t u^k phi(u) du: I_0 = Phi, I_1 = -phi, I_k = (k-1) I_(k-2) - t^(k-1) phi

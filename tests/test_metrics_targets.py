@@ -10,15 +10,17 @@ from cvngs import (EpsStage, GridSpec, MeasurementSpec, PipelineSpec,
                    parity_indicator, quadrature_variances, score_state,
                    sigma_from_cov, solve_gain, squeezing_estimate)
 from cvngs.exceptions import ContractError, DomainError
-from cvngs.metrics_targets import cat_fit_field
+from cvngs.metrics_targets import _cat_cost_fn, _marginals
 from tests.test_phase_space import fock1_wigner
 
 
-def pipeline_state(xi, R=0.9, gamma=0.0, n=2, db=-6.0):
-    p = SystemParams(3.0, 7.0, gamma).with_squeeze_db(db)
+def pipeline_state(xi, R=0.9, gamma=0.0, n=2, db=-6.0, n_m=0.0, g=None, n_A=0.0,
+                   theta=0.0, mu=1.0, **channel):
+    p = SystemParams(3.0, 7.0, gamma, n_m).with_squeeze_db(db)
     V = covariance_after_pulse(p, PulseSpec(R))
     sig = sigma_from_cov(V)
-    spec = PipelineSpec(stages=(EpsStage(solve_gain(sig, xi), n),))
+    spec = PipelineSpec(stages=(EpsStage(solve_gain(sig, xi) if g is None else g, n, n_A),),
+                        measurement=MeasurementSpec(theta=theta, mu=mu), **channel)
     return eps_pipeline(V, spec), sig
 
 
@@ -150,31 +152,75 @@ class TestExactFidelity:
         assert abs(fidelity(W, target) - ref) < 1e-9
 
 
+def cat_marginal(x, xb, v, parity):
+    """Normalized marginal of the ideal squeezed cat: lobes at +-xb of variance v."""
+    def g(c):
+        return np.exp(-(x - c) ** 2 / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
+    e = math.exp(-xb * xb / (2.0 * v))
+    return (g(xb) + g(-xb) + 2.0 * parity * e * g(0.0)) / (2.0 + 2.0 * parity * e)
+
+
+# the acceptance states of criteria 5-7 (gamma = 1.6 MHz), n = 3 at theta = 0.3,
+# and a weakly bimodal fig3d state whose odd-parity fit runs into xb -> 0
+FIT_STATES = {
+    "R0.5-P": dict(xi=1.0, R=0.5), "R0.5-X": dict(xi=0.0, R=0.5),
+    "R0.9-P": dict(xi=1.0), "R0.9-X": dict(xi=0.0),
+    "thermal": dict(xi=None, g=10 ** 0.566, n_m=0.2),
+    "lossy": dict(xi=1.0, R=0.5, eta=0.9, mu=0.8, dark_count=0.98),
+    "n3-theta": dict(xi=0.5, n=3, theta=0.3),
+    "fig3d-noisy": dict(xi=0.5, R=0.5, n_A=0.1, eta=0.85, mu=0.8, dark_count=0.98),
+}
+
+
 class TestCatSize:
     @pytest.mark.parametrize("alpha2", [1.0, 2.0, 4.0])
     @pytest.mark.parametrize("squeeze_db", [0.0, -6.0, 6.0])
     def test_ideal_cats(self, alpha2, squeeze_db):
+        # the closed-form least-squares cost of the ideal-cat model of size
+        # alpha2 against an exact marginal equals a fine Riemann sum
         lobe_var = 0.5 * 10 ** (squeeze_db / 10.0)
-        t = TargetState.cat(math.sqrt(alpha2), 1, lobe_var=lobe_var)
-        g = GridSpec(-9.0, 9.0, 481)
-        fit = cat_fit_field(t.wigner_grid(g), g)
-        assert fit is not None
-        assert fit.alpha2 == pytest.approx(alpha2, abs=0.05)
+        xb = 2.0 * math.sqrt(alpha2 * lobe_var)
+        x = np.linspace(-30.0, 30.0, 24001)
+        W, _ = pipeline_state(1.0, gamma=1.6)
+        for axis, (q, mu, s) in enumerate(_marginals(W)):
+            M = marginal(W, [axis])
+            m = M(x) / M.total_mass()
+            cost = _cat_cost_fn(q, mu, s)
+            for parity in (1, -1):
+                ref = np.sum((cat_marginal(x, xb, lobe_var, parity) - m) ** 2) * (x[1] - x[0])
+                assert cost((xb, lobe_var), parity) == pytest.approx(ref, abs=1e-9)
+
+    @pytest.mark.parametrize("name", list(FIT_STATES))
+    def test_fit_matches_sampled_fit(self, name):
+        # the exact fit against a least-squares fit of the same model to the
+        # exact marginal sampled on a fine 1-D grid
+        from scipy.optimize import least_squares
+        W, _ = pipeline_state(gamma=1.6, **FIT_STATES[name])
+        fit = cat_fit(W)
+        x = np.linspace(-12.0, 12.0, 4801)
+        h = x[1] - x[0]
+        m = marginal(W, [0 if fit.axis == "x" else 1])(x)
+        m = m / (m.sum() * h)
+        best = min((least_squares(lambda z: (cat_marginal(x, *z, parity) - m) * math.sqrt(h),
+                                  [1.1 * fit.x_star, 0.9 * fit.lobe_var],
+                                  xtol=1e-15, ftol=1e-15, gtol=1e-15)
+                    for parity in (1, -1)), key=lambda r: r.cost)
+        xb, v = best.x
+        assert fit.alpha2 == pytest.approx(xb * xb / (4.0 * v), abs=1e-4)
+        assert fit.lobe_var == pytest.approx(v, abs=1e-4)
 
     def test_p_axis_detected(self):
-        t = TargetState.cat(math.sqrt(2.0), 1, axis="p")
-        g = GridSpec(-8.0, 8.0, 401)
-        fit = cat_fit_field(t.wigner_grid(g), g)
-        assert fit is not None and fit.axis == "p"
+        for xi, axis in ((1.0, "p"), (0.0, "x")):
+            fit = cat_fit(pipeline_state(xi, gamma=1.6)[0])
+            assert fit is not None and fit.axis == axis
 
     def test_squeezed_p_cat_lobes(self):
         # lobe_var is the lobe variance along p for a P cat
         t = TargetState.cat(math.sqrt(2.0), 1, lobe_var=0.3, axis="p")
         g = GridSpec(-8.0, 8.0, 401)
-        fit = cat_fit_field(t.wigner_grid(g), g)
-        assert fit is not None and fit.axis == "p"
-        assert fit.lobe_var == pytest.approx(0.3, abs=0.01)
-        assert fit.alpha2 == pytest.approx(2.0, abs=0.05)
+        mp = t.wigner_grid(g).sum(axis=0) * g.step
+        want = cat_marginal(g.axis, 2.0 * math.sqrt(2.0 * 0.3), 0.3, 1)
+        assert np.abs(mp - want).max() < 1e-10
 
     def test_pipeline_cat_sizes(self):
         for xi in (0.0, 1.0):
@@ -218,6 +264,16 @@ class TestSqueezingAndParity:
         cond_var = Vx[0, 0] - Vx[0, 1] ** 2 / Vx[1, 1]
         assert cond_var == pytest.approx(1.0 / (2.0 * sig.s11), abs=1e-12)
 
+    @pytest.mark.parametrize("n, theta", [(2, 0.0), (3, 0.3)])
+    def test_variances_match_fine_grid(self, n, theta):
+        W, _ = pipeline_state(1.0, gamma=1.6, n=n, theta=theta)
+        g = GridSpec(-16.0, 16.0, 801)
+        field, _ = evaluate_grid(W, g)
+        ax, h = g.axis, g.step
+        for var, m in zip(quadrature_variances(W), (field.sum(axis=1) * h, field.sum(axis=0) * h)):
+            ref = np.sum(m * ax ** 2) * h - (np.sum(m * ax) * h) ** 2
+            assert var == pytest.approx(ref, abs=1e-8)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_parity_rule(self, n):
         W, _ = pipeline_state(0.5, n=n)
@@ -236,3 +292,19 @@ class TestScoreState:
         d = m.to_json_dict()
         assert set(d) == {"F", "delta", "alpha2", "squeeze_dB", "parity",
                           "method_tags"}
+
+    def test_metrics_render_nothing(self, monkeypatch):
+        import cvngs.metrics_targets as mt
+        import cvngs.phase_space as ps
+        from cvngs.metrics_targets import best_cat_fidelity
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a metric rendered a grid")
+        for module in (ps, mt):
+            monkeypatch.setattr(module, "evaluate_grid", no_grid, raising=False)
+        W, sig = pipeline_state(1.0, gamma=1.6)
+        assert score_state(W, n=2, sigma11=sig.s11).alpha2 is not None
+        assert cat_fit(W).axis == "p" and cat_size(W) > 1.0
+        assert min(quadrature_variances(W)) > 0.0
+        assert "lobe_db" in squeezing_estimate(W, n=2)
+        assert best_cat_fidelity(W, "p")[0] > 0.5
