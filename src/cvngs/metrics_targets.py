@@ -59,13 +59,13 @@ def _coherent_superposition_psi(alphas, coeffs, scale: float):
 
 def _fock_terms(n: int, lam: float) -> tuple:
     """One term: (-1)^n L_n(2 (x^2/lam^2 + lam^2 p^2)) N(u; 0, diag(lam^2, lam^-2)/2)."""
-    poly = {}
+    coef = np.zeros((2 * n + 1, 2 * n + 1))
     for k in range(n + 1):
         ck = (-1.0) ** (n + k) * math.comb(n, k) * 2.0 ** k / math.factorial(k)
         for j in range(k + 1):
-            poly[(2 * j, 2 * (k - j))] = ck * math.comb(k, j) * lam ** (2 * (k - 2 * j))
+            coef[2 * j, 2 * (k - j)] = ck * math.comb(k, j) * lam ** (2 * (k - 2 * j))
     return ((1.0, np.zeros(2), np.diag([lam * lam, 1.0 / (lam * lam)]) / 2.0,
-             MultiPoly(2, poly)),)
+             MultiPoly.from_coef(coef)),)
 
 
 @dataclass(frozen=True)
@@ -191,8 +191,7 @@ def _marginals(W: PolyGaussian):
     (q ascending coefficients with the norm folded in, mu, s)."""
     for i in (0, 1):
         M = marginal(W, [i])
-        q = [M.poly.terms.get((k,), 0.0) for k in range(M.poly.degree + 1)]
-        yield M.norm * np.array(q), float(M.mean[0]), float(M.cov[0, 0])
+        yield M.norm * M.poly.coef, float(M.mean[0]), float(M.cov[0, 0])
 
 
 def _expect(q, mean, var):

@@ -7,6 +7,12 @@ Every state in the photon-subtraction pipeline is of the form
 with N a normalized Gaussian density over nvars quadratures (4 before the
 homodyne projection, 2 after).  All pipeline operators map this family to
 itself exactly; grids are only a rendering step.
+
+poly is a dense coefficient tensor, one axis per variable.  Every affine change
+of variables (shift, amplifier, rotation, the marginal's decoupling shear) runs
+through one kernel, `_compose_axis`, a one-variable Horner substitution; a
+general linear map is LU-factored into such steps.  Gaussian integrals sum the
+coefficients against a table of raw moments.
 """
 
 from __future__ import annotations
@@ -15,146 +21,186 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import comb, ndtr
+from numpy.polynomial import polynomial as P
+from scipy.linalg import lu
+from scipy.special import ndtr
 
 from .exceptions import ContractError, DomainError
 from .gaussian_core import CovMatrix, SigmaMatrix, amplifier_block
-
-MERGE_RTOL = 1e-15
 
 # axis indices in the joint ordering
 XM, PM, XC, PC = 0, 1, 2, 3
 
 
-class MultiPoly:
-    """Real polynomial in nvars variables, stored as {exponent tuple: coefficient}."""
+def _along(axis: int, index) -> tuple:
+    """Index `index` (an int or a slice) along one axis, all of the others."""
+    return (slice(None),) * axis + (index,)
 
-    __slots__ = ("nvars", "terms")
+
+class MultiPoly:
+    """Real polynomial in nvars variables: coef[e] multiplies prod_i u_i^e_i."""
+
+    __slots__ = ("coef",)
 
     def __init__(self, nvars: int, terms: dict | None = None):
-        self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                if len(e) != nvars:
-                    raise DomainError(f"exponent {e} has wrong arity for nvars={nvars}")
-                if c != 0.0:
-                    self.terms[tuple(int(k) for k in e)] = float(c)
-        self._merge()
+        terms = terms or {}
+        for e in terms:
+            if len(e) != nvars:
+                raise DomainError(f"exponent {e} has wrong arity for nvars={nvars}")
+        coef = np.zeros(np.max([(0,) * nvars, *terms], axis=0) + 1)
+        for e, c in terms.items():
+            coef[tuple(e)] = c
+        self.coef = coef
 
-    def _merge(self):
-        if not self.terms:
-            return
-        cmax = max(abs(c) for c in self.terms.values())
-        self.terms = {e: c for e, c in self.terms.items() if abs(c) > MERGE_RTOL * cmax}
+    @classmethod
+    def from_coef(cls, coef) -> "MultiPoly":
+        """The polynomial with coefficient tensor `coef` (not copied)."""
+        out = cls.__new__(cls)
+        out.coef = np.asarray(coef, dtype=float)
+        return out
 
     @classmethod
     def constant(cls, nvars: int, value: float = 1.0) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: value})
+        return cls.from_coef(np.full((1,) * nvars, float(value)))
 
     @classmethod
     def variable(cls, nvars: int, i: int, coeff: float = 1.0) -> "MultiPoly":
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): coeff})
+        return _linear(0.0, np.eye(nvars)[i] * coeff)
+
+    @property
+    def nvars(self) -> int:
+        return self.coef.ndim
+
+    @property
+    def terms(self) -> dict:
+        """Read-only {exponent tuple: coefficient} view of the non-zero entries."""
+        nz = np.nonzero(self.coef)
+        return dict(zip(zip(*(a.tolist() for a in nz)), self.coef[nz].tolist()))
 
     @property
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return int(sum(np.nonzero(self.coef)).max(initial=0))
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0.0) + c
-        return MultiPoly(self.nvars, out)
+        out = np.zeros(np.maximum(self.coef.shape, other.coef.shape))
+        out[tuple(map(slice, self.coef.shape))] = self.coef
+        out[tuple(map(slice, other.coef.shape))] += other.coef
+        return MultiPoly.from_coef(out)
 
     def __mul__(self, other):
-        if isinstance(other, MultiPoly):
-            out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    out[e] = out.get(e, 0.0) + c1 * c2
-            return MultiPoly(self.nvars, out)
-        return self.scale(float(other))
+        if not isinstance(other, MultiPoly):
+            return self.scale(float(other))
+        a, b = self.coef, other.coef
+        if np.count_nonzero(a) < np.count_nonzero(b):
+            a, b = b, a
+        out, tmp = np.zeros(np.add(a.shape, b.shape) - 1), np.empty_like(a)
+        for e in zip(*np.nonzero(b)):
+            out[tuple(map(slice, e, np.add(e, a.shape)))] += np.multiply(b[e], a, out=tmp)
+        return MultiPoly.from_coef(out)
 
     __rmul__ = __mul__
 
     def scale(self, s: float) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: c * s for e, c in self.terms.items()})
+        return MultiPoly.from_coef(self.coef * s)
 
     def diff(self, i: int) -> "MultiPoly":
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] > 0:
-                e2 = list(e)
-                e2[i] -= 1
-                out[tuple(e2)] = out.get(tuple(e2), 0.0) + c * e[i]
-        return MultiPoly(self.nvars, out)
+        k = self.coef.shape[i]
+        if k == 1:
+            return MultiPoly.constant(self.nvars, 0.0)
+        ramp = np.arange(1, k).reshape([-1] + [1] * (self.nvars - i - 1))
+        return MultiPoly.from_coef(self.coef[_along(i, slice(1, None))] * ramp)
 
     def substitute_linear(self, A: np.ndarray, b: np.ndarray | None = None) -> "MultiPoly":
-        """p(u) -> p(A u + b), for diagonal-free generality (A is nvars x nvars)."""
+        """p(u) -> p(A u + b).  A = perm L U (scipy.linalg.lu): permute the axes,
+        then u_i -> b'_i + u_i + sum_(j<i) L_ij u_j for i = 0..n-1, b' = perm^T b,
+        then u_i -> sum_(j>=i) U_ij u_j for i = n-1..0, one axis at a time."""
         n = self.nvars
-        A = np.asarray(A, dtype=float)
-        b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
-        images = []
+        perm, L, U = lu(np.asarray(A, dtype=float))
+        b = perm.T @ (np.zeros(n) if b is None else np.asarray(b, dtype=float))
+        coef = np.transpose(self.coef, perm.argmax(axis=0))
         for i in range(n):
-            img = MultiPoly(n, {(0,) * n: b[i]})
-            for j in range(n):
-                if A[i, j] != 0.0:
-                    img = img + MultiPoly.variable(n, j, A[i, j])
-            images.append(img)
-        out = MultiPoly(n)
-        for e, c in self.terms.items():
-            term = MultiPoly.constant(n, c)
-            for i, p in enumerate(e):
-                for _ in range(p):
-                    term = term * images[i]
-            out = out + term
-        return out
+            coef = _compose_axis(coef, i, b[i], 1.0, np.r_[L[i, :i], np.zeros(n - i)])
+        for i in reversed(range(n)):
+            coef = _compose_axis(coef, i, 0.0, U[i, i], np.r_[np.zeros(i + 1), U[i, i + 1:]])
+        return MultiPoly.from_coef(coef)
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on pts of shape (N, nvars)."""
+        """Vectorized evaluation on pts of shape (N, nvars), Horner along each axis."""
         pts = np.atleast_2d(pts)
-        out = np.zeros(pts.shape[0])
-        for e, c in self.terms.items():
-            t = np.full(pts.shape[0], c)
-            for k, p in enumerate(e):
-                if p:
-                    t *= pts[:, k] ** p
-            out += t
+        out = P.polyval(pts[:, 0], self.coef)
+        for k in range(1, self.nvars):
+            out = P.polyval(pts[:, k], out, tensor=False)
         return out
 
     def max_abs_coeff_diff(self, other: "MultiPoly") -> float:
-        keys = set(self.terms) | set(other.terms)
-        return max((abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) for k in keys),
-                   default=0.0)
+        return float(np.abs((self + other.scale(-1.0)).coef).max())
+
+
+def _linear(const: float, w) -> MultiPoly:
+    """The linear form const + sum_j w_j u_j."""
+    coef = np.zeros([1 + (x != 0.0) for x in w])
+    coef.flat[0] = const
+    for j in np.flatnonzero(w):
+        coef[(0,) * j + (1,) + (0,) * (len(w) - j - 1)] = w[j]
+    return MultiPoly.from_coef(coef)
+
+
+def _compose_axis(coef: np.ndarray, i: int, const: float, own: float,
+                  others) -> np.ndarray:
+    """Coefficients of p after u_i -> const + own u_i + sum_(j != i) others_j u_j,
+    by Horner's rule in u_i: acc <- acc * (that linear form) + c_k, with c_k the
+    slab of u_i^k.  The result keeps the arity; no axis outgrows the degree."""
+    grow = [j for j in range(coef.ndim) if j != i and others[j] != 0.0]
+    if const == 0.0 and own == 1.0 and not grow:
+        return coef
+    deg = MultiPoly.from_coef(coef).degree
+    shape = list(coef.shape)
+    for j in grow:
+        shape[j] = max(shape[j], min(shape[j] + coef.shape[i] - 1, deg + 1))
+    acc = np.zeros(shape)
+    slab = tuple(map(slice, coef.shape[:i] + (1,) + coef.shape[i + 1:]))
+    for k in reversed(range(coef.shape[i])):
+        new = const * acc
+        new[_along(i, slice(1, None))] += own * acc[_along(i, slice(-1))]
+        for j in grow:
+            new[_along(j, slice(1, None))] += others[j] * acc[_along(j, slice(-1))]
+        new[slab] += coef[_along(i, slice(k, k + 1))]
+        acc = new
+    return acc
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _moment_table(cov: np.ndarray, mean: np.ndarray, shape) -> np.ndarray:
+    """M[e] = E[prod u_i^e_i] for N(mean, cov) over the index box `shape`, by
+    the recursion on the first non-zero exponent i:
+    M[e + 1_i] = mean_i M[e] + sum_(j >= i) cov_ij e_j M[e - 1_j].
+    Entries far above the polynomial's degree may overflow; they multiply zeros."""
+    n = len(shape)
+    M = np.zeros(shape, dtype=np.result_type(cov, mean, float))
+    M.flat[0] = 1.0
+    for i in reversed(range(n)):
+        S = M[(0,) * i]               # axes i..n-1; axes after i are complete
+        cross = [(_along(j - i - 1, slice(1, None)), _along(j - i - 1, slice(-1)),
+                  cov[i, j] * np.arange(1, shape[j]).reshape((-1,) + (1,) * (n - j - 1)))
+                 for j in range(i + 1, n)]
+        for k in range(1, shape[i]):
+            val = mean[i] * S[k - 1]
+            if k >= 2:
+                val += cov[i, i] * (k - 1) * S[k - 2]
+            for hi, lo, c in cross:
+                val[hi] += c * S[k - 1][lo]
+            S[k] = val
+    return M
+
+
+def _gauss_integral(coef: np.ndarray, cov: np.ndarray, mean: np.ndarray):
+    """E[poly(u)] for u ~ N(mean, cov): the coefficients against the moments."""
+    return np.sum(coef * _moment_table(cov, mean, coef.shape), where=coef != 0.0)
 
 
 def _gauss_moment_fn(cov: np.ndarray, mean: np.ndarray):
-    """Memoized raw-moment evaluator E[prod u_i^e_i] for N(mean, cov)."""
-    n = len(mean)
-    memo: dict[tuple, float] = {}
-
-    def mom(e: tuple) -> float:
-        if sum(e) == 0:
-            return 1.0
-        v = memo.get(e)
-        if v is not None:
-            return v
-        i = next(k for k in range(n) if e[k] > 0)
-        e1 = list(e)
-        e1[i] -= 1
-        val = mean[i] * mom(tuple(e1))
-        for j in range(n):
-            if e1[j] > 0:
-                e2 = list(e1)
-                e2[j] -= 1
-                val += cov[i, j] * e1[j] * mom(tuple(e2))
-        memo[e] = val
-        return val
-
-    return mom
+    """Raw-moment evaluator E[prod u_i^e_i] for N(mean, cov)."""
+    return lambda e: _moment_table(cov, mean, np.add(e, 1))[tuple(e)]
 
 
 def _gauss_density(pts: np.ndarray, mean, cov: np.ndarray) -> np.ndarray:
@@ -193,8 +239,7 @@ class PolyGaussian:
 
     def total_mass(self) -> float:
         """Integral of W over all variables (the running success weight)."""
-        mom = _gauss_moment_fn(self.cov, self.mean)
-        return self.norm * sum(c * mom(e) for e, c in self.poly.terms.items())
+        return self.norm * _gauss_integral(self.poly.coef, self.cov, self.mean)
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -221,20 +266,6 @@ def normalize(W: PolyGaussian) -> PolyGaussian:
     return PolyGaussian(W.cov, W.mean, W.poly, W.norm / mass)
 
 
-def _neg_log_gradient_polys(W: PolyGaussian) -> list[MultiPoly]:
-    """l_k(u) with d/du_k N = -l_k(u) N, i.e. l_k = [cov^-1 (u - mean)]_k."""
-    n = W.nvars
-    ci = np.linalg.inv(W.cov)
-    out = []
-    for k in range(n):
-        p = MultiPoly(n, {(0,) * n: -float(ci[k] @ W.mean)})
-        for j in range(n):
-            if ci[k, j] != 0.0:
-                p = p + MultiPoly.variable(n, j, ci[k, j])
-        out.append(p)
-    return out
-
-
 def subtract_photon(W: PolyGaussian) -> PolyGaussian:
     """Single photon subtraction on the optical mode, as the exact second-order
     differential operator acting on poly * Gaussian.  Degree grows by 2; the
@@ -242,12 +273,12 @@ def subtract_photon(W: PolyGaussian) -> PolyGaussian:
     if W.nvars != 4:
         raise ContractError("subtract_photon acts on the joint 4-variable state")
     n = 4
-    ls = _neg_log_gradient_polys(W)
+    ci = np.linalg.inv(W.cov)
     p = W.poly
 
     def d(poly: MultiPoly, k: int) -> MultiPoly:
-        # derivative of poly * N, divided by N
-        return poly.diff(k) + ls[k].scale(-1.0) * poly
+        # derivative of poly * N, divided by N: d/du_k N = -[cov^-1 (u - mean)]_k N
+        return poly.diff(k) + _linear(ci[k] @ W.mean, -ci[k]) * poly
 
     x = MultiPoly.variable(n, XC)
     pp = MultiPoly.variable(n, PC)
@@ -271,15 +302,11 @@ def qn_polynomial(sigma: SigmaMatrix, n: int) -> MultiPoly:
         raise DomainError(f"photon number must be >= 0, got {n}")
     from .gaussian_core import require_xp_decoupled
     require_xp_decoupled(sigma, "qn_polynomial")
-    nv = 4
     if n == 0:
-        return MultiPoly.constant(nv)
-    lx = (MultiPoly.variable(nv, XC, sigma.s33 - 1.0)
-          + MultiPoly.variable(nv, XM, sigma.s13))
-    lp = (MultiPoly.variable(nv, PC, sigma.s44 - 1.0)
-          + MultiPoly.variable(nv, PM, sigma.s24))
-    q1 = (MultiPoly.constant(nv, 1.0 - (sigma.s33 + sigma.s44) / 2.0)
-          + lx * lx + lp * lp)
+        return MultiPoly.constant(4)
+    lx = _linear(0.0, [sigma.s13, 0.0, sigma.s33 - 1.0, 0.0])
+    lp = _linear(0.0, [0.0, sigma.s24, 0.0, sigma.s44 - 1.0])
+    q1 = MultiPoly.constant(4, 1.0 - (sigma.s33 + sigma.s44) / 2.0) + lx * lx + lp * lp
     q = q1
     for _ in range(n - 1):
         q = (q1 * q
@@ -293,12 +320,9 @@ def amplify_wigner(W: PolyGaussian, g_quad: float, n_quad: float = 0.0) -> PolyG
     P_C -> (1+n)/g P_C as a density pushforward (quadrature-domain gains)."""
     if W.nvars != 4:
         raise ContractError("amplify_wigner acts on the joint 4-variable state")
-    E = amplifier_block(g_quad, n_quad)
     T = np.eye(4)
-    T[2:, 2:] = E
-    Ti = np.linalg.inv(T)
-    return PolyGaussian(T @ W.cov @ T.T, T @ W.mean,
-                        W.poly.substitute_linear(Ti), W.norm)
+    T[2:, 2:] = amplifier_block(g_quad, n_quad)
+    return apply_linear_map(W, T)
 
 
 def apply_linear_map(W: PolyGaussian, T: np.ndarray) -> PolyGaussian:
@@ -322,7 +346,6 @@ def multiply_gaussian_window(W: PolyGaussian, axis: int, center: float,
     """Multiply by exp(-(u_axis - center)^2 / (2 std^2)) / sqrt(2 std^2)."""
     if std <= 0:
         raise DomainError(f"window width must be positive, got {std}")
-    n = W.nvars
     A = np.linalg.inv(W.cov)
     b = A @ W.mean
     A2 = A.copy()
@@ -345,9 +368,6 @@ def marginal(W: PolyGaussian, keep: list[int]) -> PolyGaussian:
         raise DomainError("keep set must be non-empty")
     if sorted(set(keep)) != sorted(keep) or any(k >= W.nvars for k in keep):
         raise DomainError(f"invalid keep axes {keep} for nvars={W.nvars}")
-    if len(keep) == W.nvars:
-        perm = np.eye(W.nvars)[keep]
-        return apply_linear_map(W, perm)
 
     n = W.nvars
     drop = [i for i in range(n) if i not in keep]
@@ -359,35 +379,18 @@ def marginal(W: PolyGaussian, keep: list[int]) -> PolyGaussian:
     Sc = 0.5 * (Sc + Sc.T)
     mu_x = W.mean[keep]
     c0 = W.mean[drop] - K @ mu_x
-    m = len(keep)
-    nz = len(drop)
-    mom_z = _gauss_moment_fn(Sc, np.zeros(nz))
 
-    # y_i = sum_j K_ij x_j + c0_i + z_i with z ~ N(0, Sc); expand monomials in y
-    # and take E_z exactly.
-    ext = m + nz
-    images = []
-    for i in range(nz):
-        img = MultiPoly(ext, {(0,) * ext: c0[i]})
-        for j in range(m):
-            if K[i, j] != 0.0:
-                img = img + MultiPoly.variable(ext, j, K[i, j])
-        img = img + MultiPoly.variable(ext, m + i, 1.0)
-        images.append(img)
-
-    out: dict[tuple, float] = {}
-    for e, c in W.poly.terms.items():
-        ex = tuple(e[i] for i in keep)
-        term = MultiPoly(ext, {ex + (0,) * nz: c})
-        for iy, i_all in enumerate(drop):
-            for _ in range(e[i_all]):
-                term = term * images[iy]
-        for ee, cc in term.terms.items():
-            mz = mom_z(ee[m:])
-            if mz != 0.0:
-                key = ee[:m]
-                out[key] = out.get(key, 0.0) + cc * mz
-    return PolyGaussian(Vxx, mu_x, MultiPoly(m, out), W.norm)
+    # y_i = c0_i + sum_j K_ij x_j + z_i with z ~ N(0, Sc): substitute on each
+    # dropped axis (it then holds z_i) and take E_z against the moment table.
+    coef = W.poly.coef
+    for iy, i in enumerate(drop):
+        others = np.zeros(n)
+        others[keep] = K[iy]
+        coef = _compose_axis(coef, i, c0[iy], 1.0, others)
+    mom_z = _moment_table(Sc, np.zeros(len(drop)), [coef.shape[i] for i in drop])
+    coef = np.tensordot(coef, mom_z, axes=(drop, range(len(drop))))
+    coef = np.transpose(coef, np.argsort(np.argsort(keep)))    # ascending -> keep order
+    return PolyGaussian(Vxx, mu_x, MultiPoly.from_coef(coef), W.norm)
 
 
 def project_XC(W: PolyGaussian, eps: float, zeta: float = 0.0,
@@ -469,24 +472,20 @@ _GL_T, _GL_W = np.polynomial.legendre.leggauss(NEG_NODES)
 
 def _t_polys(W: PolyGaussian):
     """xs -> (b[:, k], the roots in t (companion eigenvalues), N(x)) at each x;
-    the coefficients, binomial table and companion scaffold are built once."""
+    the coefficients and the companion scaffold are built once."""
     C, m = W.cov, W.mean
     kappa = C[0, 1] / C[0, 0]
-    coef = np.zeros([max((e[i] for e in W.poly.terms), default=0) + 1 for i in (0, 1)])
-    for e, c in W.poly.terms.items():
-        coef[e] = c
-    # p^j = sum_k binom(j, k) mu^(j-k) s^k t^k
+    nz = np.nonzero(W.poly.coef)
+    coef = W.poly.coef[:nz[0].max(initial=0) + 1, :nz[1].max(initial=0) + 1]
+    # p = m_p + kappa (x - m_x) + s t: coef[i, k] multiplies x^i t^k
+    coef = W.norm * _compose_axis(coef, 1, m[1] - kappa * m[0],
+                                  math.sqrt(C[1, 1] - kappa * C[0, 1]), [kappa, 0.0])
     dp = coef.shape[1] - 1
-    j = np.arange(dp + 1)
-    binom_s = comb(j[:, None], j) * (C[1, 1] - kappa * C[0, 1]) ** (j / 2.0)
-    expo = np.maximum(j[:, None] - j, 0)
     scaffold = np.zeros((dp, dp))
     scaffold[1:, :-1] = np.eye(max(dp - 1, 0))
 
     def at(xs):
-        mu = m[1] + kappa * (xs - m[0])
-        T = binom_s * mu[:, None, None] ** expo
-        b = W.norm * np.einsum("nj,njk->nk", np.vander(xs, len(coef), increasing=True) @ coef, T)
+        b = np.vander(xs, len(coef), increasing=True) @ coef
         comp = np.repeat(scaffold[None], len(xs), axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
             comp[:, :, -1:] = (-b[:, :dp] / b[:, dp:])[:, :, None]
@@ -561,8 +560,7 @@ def overlap_terms(W: PolyGaussian, terms) -> float:
         pmean = pcov @ b
         log_c = -0.5 * (const1 + mean @ A2 @ mean - b @ pmean + np.linalg.slogdet(cov)[1]
                         - np.linalg.slogdet(pcov)[1])
-        mom = _gauss_moment_fn(pcov, pmean)
-        total += w * np.exp(log_c) * sum(c * mom(e) for e, c in (W.poly * poly).terms.items())
+        total += w * np.exp(log_c) * _gauss_integral((W.poly * poly).coef, pcov, pmean)
     return W.norm * float(np.real(total))
 
 

@@ -42,7 +42,7 @@ class SystemParams:
             raise DomainError("thermal occupation must be >= 0")
         if self.kappa_mhz < 3.0 * self.g_mhz:
             warnings.warn("kappa < 3 g: bad-cavity approximation degrades",
-                          RuntimeWarning, stacklevel=2)
+                          RuntimeWarning, stacklevel=3)
 
     @property
     def G_mhz(self) -> float:

@@ -21,10 +21,28 @@ CASES = [
 ]
 
 
+def first_difference(name: str, got: bytes, want: bytes) -> str:
+    """Where `got` first departs from the frozen bytes, with both lines."""
+    got_lines, want_lines = got.split(b"\n"), want.split(b"\n")
+    pairs = zip(got_lines, want_lines)
+    i = next((k for k, (a, b) in enumerate(pairs) if a != b),
+             min(len(got_lines), len(want_lines)))
+
+    def line(lines):
+        return repr(lines[i].decode(errors="replace")) if i < len(lines) else "<end of file>"
+    return (f"{name} drifted from the frozen output at line {i + 1}:\n"
+            f"  frozen:   {line(want_lines)}\n  produced: {line(got_lines)}")
+
+
 @pytest.mark.parametrize("manifest_name,artifact,golden_name", CASES)
 def test_golden_regression(tmp_path, manifest_name, artifact, golden_name):
     manifest = json.loads((GOLDEN / manifest_name).read_text())
     assert run(manifest, tmp_path) == EXIT_OK
     got = (tmp_path / artifact).read_bytes()
     want = (GOLDEN / golden_name).read_bytes()
-    assert got == want, f"{golden_name} drifted from the frozen output"
+    assert got == want, first_difference(golden_name, got, want)
+
+
+def test_first_difference_names_line_and_texts():
+    msg = first_difference("x.csv", b"X,P\n1,2\n3,4\n", b"X,P\n1,2\n3,5\n")
+    assert "at line 3" in msg and "frozen:   '3,5'" in msg and "produced: '3,4'" in msg

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from cvngs import (CovMatrix, GridSpec, MultiPoly, PolyGaussian, PulseSpec,
-                   SystemParams, amplifier_map, amplify_wigner,
-                   covariance_after_pulse, evaluate_grid, gaussian_wigner,
-                   initial_covariance, marginal, normalize, overlap,
-                   project_XC, qn_polynomial, sigma_from_cov, subtract_photon,
+from cvngs import (CovMatrix, EpsStage, GridSpec, MeasurementSpec, MultiPoly,
+                   PipelineSpec, PolyGaussian, PulseSpec, SystemParams,
+                   amplifier_map, amplify_wigner, apply_linear_map,
+                   covariance_after_pulse, eps_pipeline, evaluate_grid,
+                   gaussian_wigner, initial_covariance, marginal,
+                   multiply_gaussian_window, normalize, overlap, project_XC,
+                   qn_polynomial, sigma_from_cov, subtract_photon,
                    wigner_negativity)
 from cvngs.exceptions import ContractError, DomainError
 
@@ -40,6 +42,19 @@ class TestMultiPoly:
         x = MultiPoly.variable(2, 0)
         A = np.array([[2.0, 0.0], [0.0, 1.0]])
         assert (x * x).substitute_linear(A).terms == {(2, 0): 4.0}
+
+    def test_substitute_linear_with_row_exchange(self):
+        # A[0, 0] = 0 forces the LU factorization to permute rows
+        rng = np.random.default_rng(7)
+        exps = [e for e in np.ndindex(7, 7, 7, 7) if sum(e) <= 6]
+        p = MultiPoly(4, {e: rng.normal() for e in exps})
+        A = rng.normal(size=(4, 4))
+        A[0, 0] = 0.0
+        b = rng.normal(size=4)
+        u = rng.uniform(-1.5, 1.5, size=(25, 4))
+        want = p.evaluate(u @ A.T + b)
+        got = p.substitute_linear(A, b).evaluate(u)
+        assert np.abs(got - want).max() < 1e-11 * np.abs(want).max()
 
 
 class TestGaussianWigner:
@@ -86,7 +101,7 @@ class TestSubtraction:
         q1 = qn_polynomial(sig, 1).scale(0.5)   # C-hat = Q_1 / 2 on the Gaussian
         assert W.poly.max_abs_coeff_diff(q1) < 1e-12
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 6, 8])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_qn_recursion_matches_repeated_subtraction(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -191,6 +206,40 @@ class TestProjection:
         W = project_XC(gaussian_wigner(V), eps=0.05, zeta=1.0)
         assert abs(W.mean[0]) > 0.05   # correlated X_M picks up a displacement
         assert abs(W.total_mass() - 1.0) < 1e-12
+
+    def test_marginal_matches_gauss_hermite(self):
+        # n = 6 at theta = 0.3, windowed at zeta = 0.4: integrate (X_C, P_C) out
+        # by tensor Gauss-Hermite on the conditional Gaussian of the dropped axes
+        W = amplify_wigner(gaussian_wigner(pulsed_V()), 1.4)
+        for _ in range(6):
+            W = subtract_photon(W)
+        c, s = math.cos(0.3), math.sin(0.3)
+        T = np.eye(4)
+        T[2:, 2:] = [[c, s], [-s, c]]
+        W = multiply_gaussian_window(apply_linear_map(W, T), 2, 0.4, 0.1)
+        M = marginal(W, [0, 1])
+        K = W.cov[2:, :2] @ np.linalg.inv(W.cov[:2, :2])
+        Sc = W.cov[2:, 2:] - K @ W.cov[:2, 2:]
+        t, w = np.polynomial.hermite.hermgauss(20)
+        nodes = np.sqrt(2.0) * np.stack(np.meshgrid(t, t, indexing="ij"), -1).reshape(-1, 2)
+        weights = np.outer(w, w).ravel() / math.pi
+        L = np.linalg.cholesky(Sc)
+        xs = np.array([[0.0, 0.0], [0.4, -0.3], [-0.8, 0.6], [1.2, 0.2]])
+        got, want = M.evaluate(xs), []
+        for x in xs:
+            y = W.mean[2:] + K @ (x - W.mean[:2]) + nodes @ L.T
+            pts = np.column_stack([np.repeat(x[None], len(y), 0), y])
+            cond = np.exp(-0.5 * np.sum(nodes * nodes, 1)) / (2.0 * math.pi * np.prod(np.diag(L)))
+            want.append(weights @ (W.evaluate(pts) / cond))
+        assert np.abs(got - want).max() < 1e-9 * np.abs(want).max()
+
+    def test_high_order_rotated_pipeline_is_physical(self):
+        spec = PipelineSpec(stages=(EpsStage(1.5, 8),),
+                            measurement=MeasurementSpec(theta=0.3, eps=0.1))
+        W = eps_pipeline(pulsed_V(), spec)
+        assert abs(W.total_mass() - 1.0) < 1e-9
+        field, _ = evaluate_grid(W, GridSpec(n=57))
+        assert np.abs(field).max() <= 1.0 / math.pi
 
     def test_bad_args(self):
         W = gaussian_wigner(pulsed_V())

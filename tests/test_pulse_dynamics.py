@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,12 @@ class TestRates:
         G, C = effective_rates(params(gamma=0.0))
         assert G == pytest.approx(9.0 / 7.0)
         assert math.isinf(C)
+
+    def test_bad_cavity_warning_names_the_caller(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            SystemParams(3.0, 7.0, 1.6)
+        assert [w.filename for w in caught] == [__file__]
 
     def test_pulse_durations(self):
         p = params()
