@@ -1,10 +1,10 @@
 """Ideal target states and quality metrics for synthesized mechanical states.
 
-Targets are pure states held as sums of Gaussian terms (complex means for the
-cat superpositions, a Laguerre polynomial for Fock states).  Every metric is
-exact: the fidelity 2 pi * int(W W_t) term by term, the negativity (phase_space),
-and the cat-lobe fit and the squeezing on the exact 1-D quadrature marginals.
-Grids serve only rendering and cross-checks in the tests.
+Targets are pure states held as kernel groups of Gaussian terms (complex means
+for the cat superpositions, a Laguerre polynomial for Fock states).  Every metric
+is exact: the fidelity 2 pi * int(W W_t) (one moment table per group), the
+negativity (phase_space), and the cat-lobe fit and the squeezing on the exact 1-D
+quadrature marginals.  Grids serve only rendering and cross-checks in the tests.
 """
 
 from __future__ import annotations
@@ -33,14 +33,14 @@ def _pair_weights(alphas, coeffs) -> list:
 
 
 def _coherent_terms(alphas, coeffs, scale: float) -> tuple:
-    """Wigner terms of the normalized sum_k c_k |alpha_k> with x scaled by
-    `scale` (p by 1/scale): |a_j><a_k| gives <a_k|a_j> N(u; m_jk, cov) with the
-    complex mean m_jk = ((a_j + a_k*) scale, -i (a_j - a_k*) / scale) / sqrt2."""
+    """Wigner kernel group of the normalized sum_k c_k |alpha_k> with x scaled
+    by `scale` (p by 1/scale): |a_j><a_k| gives <a_k|a_j> N(u; m_jk, cov) with
+    the complex mean m_jk = ((a_j + a_k*) scale, -i (a_j - a_k*) / scale) / sqrt2."""
     weights = _pair_weights(alphas, coeffs)
     norm, cov = sum(weights).real, np.diag([scale * scale, 1.0 / (scale * scale)]) / 2.0
-    return tuple((w / norm, np.array([(aj + np.conj(ak)) * scale,
-                                      -1j * (aj - np.conj(ak)) / scale]) / SQRT2, cov, _ONE)
-                 for w, (aj, ak) in zip(weights, product(alphas, alphas)))
+    means = np.array([[(aj + np.conj(ak)) * scale, -1j * (aj - np.conj(ak)) / scale]
+                      for aj, ak in product(alphas, alphas)]) / SQRT2
+    return ((np.array(weights) / norm, means, cov, _ONE),)
 
 
 def _coherent_superposition_psi(alphas, coeffs, scale: float):
@@ -64,7 +64,7 @@ def _fock_terms(n: int, lam: float) -> tuple:
         ck = (-1.0) ** (n + k) * math.comb(n, k) * 2.0 ** k / math.factorial(k)
         for j in range(k + 1):
             coef[2 * j, 2 * (k - j)] = ck * math.comb(k, j) * lam ** (2 * (k - 2 * j))
-    return ((1.0, np.zeros(2), np.diag([lam * lam, 1.0 / (lam * lam)]) / 2.0,
+    return ((np.ones(1), np.zeros((1, 2)), np.diag([lam * lam, 1.0 / (lam * lam)]) / 2.0,
              MultiPoly.from_coef(coef)),)
 
 
@@ -73,8 +73,8 @@ class TargetState:
     """Pure reference state: cat, Fock, or four-component cat, with optional
     squeezing (coordinate scale lam: x -> x/lam, p -> p*lam along the stated axis).
 
-    `terms` holds its Wigner function as Gaussian terms (weight, mean, cov,
-    poly): 4 for a cat, 16 for a four-cat, one Laguerre term for a Fock state.
+    `terms` holds its Wigner function as kernel groups (weights (K,), means (K, 2),
+    cov, poly): K = 4 for a cat, 16 for a four-cat, one Laguerre term for Fock.
     """
 
     kind: str
@@ -133,8 +133,8 @@ class TargetState:
         def W(x, p):
             x, p = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(p, dtype=float))
             u = np.stack([x.ravel(), p.ravel()], axis=1)
-            return sum((w * _gauss_density(u, m, c)).real * q.evaluate(u)
-                       for w, m, c, q in self.terms).reshape(x.shape)
+            return sum((wk * _gauss_density(u, mk, c)).real * q.evaluate(u)
+                       for w, m, c, q in self.terms for wk, mk in zip(w, m)).reshape(x.shape)
         return W
 
     def wavefunction(self):
@@ -159,17 +159,25 @@ class TargetState:
 # ---------------------------------------------------------------------------
 # metrics
 
-def fidelity(W_state: PolyGaussian, target: TargetState) -> float:
-    """F = <psi_t| rho |psi_t> = 2 pi int(W W_t), clipped to [0, 1]; exact,
-    as a sum of Gaussian-moment integrals over the target's terms."""
-    mass = W_state.total_mass()
+def _require_normalized(W: PolyGaussian) -> None:
+    mass = W.total_mass()
     if abs(mass - 1.0) > 1e-6:
         raise ContractError(f"state not normalized (mass {mass:.6e})")
-    f = overlap_terms(W_state, target.terms)
+
+
+def _clipped_overlap(W: PolyGaussian, target: TargetState) -> float:
+    f = overlap_terms(W, target.terms)
     clipped = min(max(f, 0.0), 1.0)
     if abs(f - clipped) > 1e-9:
-        warnings.warn(f"fidelity clipped by {abs(f - clipped):.3e}", RuntimeWarning, stacklevel=2)
+        warnings.warn(f"fidelity clipped by {abs(f - clipped):.3e}", RuntimeWarning, stacklevel=3)
     return clipped
+
+
+def fidelity(W_state: PolyGaussian, target: TargetState) -> float:
+    """F = <psi_t| rho |psi_t> = 2 pi int(W W_t), clipped to [0, 1]; exact,
+    as one batched Gaussian-moment sum per kernel group of the target."""
+    _require_normalized(W_state)
+    return _clipped_overlap(W_state, target)
 
 
 def parity_indicator(W_state: PolyGaussian) -> float:
@@ -184,6 +192,7 @@ class CatFit:
     lobe_var: float      # absolute Gaussian lobe variance of the marginal
     alpha2: float        # |alpha|^2 = x_star^2 / (4 lobe_var)
     dip_ratio: float     # central marginal value / peak value (bimodality witness)
+    refined: bool        # the model fit was accepted; False: the peak-reading seed
 
 
 def _marginals(W: PolyGaussian):
@@ -210,28 +219,31 @@ def _variance(q, mu, s) -> float:
 
 def _cat_cost_fn(q, mu, s):
     """cost((xb, v), parity) = int (model - m / mass)^2 dx in closed form, with
-    model the normalized marginal of the ideal squeezed cat with lobes at +-xb
-    of variance v: sum_i w_i N(x; c_i, v) over the centres (xb, -xb, 0)."""
+    model = (N(x; xb, v) + N(x; -xb, v) + 2 parity E N(x; 0, v)) / S the ideal
+    squeezed cat's marginal, E = exp(-xb^2 / 2v), S = 2 + 2 parity E."""
     mass = _expect(q, mu, s)
     m_sq = _expect(P.polymul(q, q), mu, s / 2.0) / math.sqrt(4.0 * math.pi * s) / mass ** 2
+    q = q.tolist()
 
     def cost(z, parity):
-        xb, v = z
-        if xb <= 0 or v <= 1e-4 or 1.0 + parity * math.exp(-xb * xb / (2.0 * v)) < 5e-4:
-            return 1e6      # odd model at xb -> 0: w = a / sum(a) loses all precision
-        c = np.array([xb, -xb, 0.0])
-        a = np.array([1.0, 1.0, 2.0 * parity * math.exp(-xb * xb / (2.0 * v))])
-        w = a / a.sum()
-        d = c[:, None] - c
-        model_sq = w @ np.exp(-d * d / (4.0 * v)) @ w / math.sqrt(4.0 * math.pi * v)
+        xb, v = float(z[0]), float(z[1])
+        if xb <= 0 or v <= 1e-4 or 1.0 + parity * (e := math.exp(-xb * xb / (2.0 * v))) < 5e-4:
+            return 1e6      # odd model at xb -> 0: the weights / S lose all precision
+        S = 2.0 + 2.0 * parity * e
+        model_sq = (2.0 + 6.0 * e * e + 8.0 * parity * e ** 1.5) / (
+            S * S * math.sqrt(4.0 * math.pi * v))
+        # sqrt(2 pi t) N(c; mu, t) E[q] under the product Gaussian, c = xb, -xb, 0
         t = v + s
-        cross = w @ (np.exp(-(c - mu) ** 2 / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
-                     * _expect(q, (c * s + mu * v) / t, v * s / t)) / mass
-        return float(model_sq - 2.0 * cross + m_sq)
+        lobe = [math.exp(-(c - mu) ** 2 / (2.0 * t)) * _expect(q, (c * s + mu * v) / t, v * s / t)
+                for c in (xb, -xb, 0.0)]
+        cross = (lobe[0] + lobe[1] + 2.0 * parity * e * lobe[2]) / (
+            S * math.sqrt(2.0 * math.pi * t) * mass)
+        return model_sq - 2.0 * cross + m_sq
     return cost
 
 
-def _fit_axis(axis: str, q, mu, s) -> CatFit | None:
+def _lobes(q, mu, s) -> tuple | None:
+    """(dip ratio, half lobe separation, lobe variance) of m = q N(mu, s), or None."""
     # critical points of m: real roots of d = s q' - (x - mu) q, as m' = N d / s
     d = P.polysub(s * P.polyder(q), P.polymul([-mu, 1.0], q))
     r = P.polyroots(d)
@@ -252,19 +264,22 @@ def _fit_axis(axis: str, q, mu, s) -> CatFit | None:
         return None
     # seed lobe variance: -1 / (log m)'' = -s q / d' at the two outer lobes
     v0 = float(np.mean(-s * P.polyval(x[ends], q) / dd[ends]))
-    x0 = float(0.5 * (xr - xl))
+    return dip, float(0.5 * (xr - xl)), v0
 
-    # refine against the two-lobe cat-marginal model; corrects the bias of the
-    # bare peak reading when the lobes overlap (small |alpha|^2)
+
+def _refine(dip: float, x0: float, v0: float, axis: str, q, mu, s) -> CatFit:
+    """Fit the two-lobe cat-marginal model from the lobe reading; corrects the
+    bias of the bare peak reading when the lobes overlap (small |alpha|^2)."""
     from scipy.optimize import minimize
     cost = _cat_cost_fn(q, mu, s)
     best = min((minimize(cost, [max(x0, 0.05), v0], args=(parity,), method="Nelder-Mead",
                          options={"xatol": 1e-6, "fatol": 1e-12, "maxiter": 400})
                 for parity in (+1, -1)), key=lambda r: r.fun)
     xb, vl = float(best.x[0]), float(best.x[1])
-    if 0.2 * x0 < xb < 5.0 * max(x0, 0.1) and 0.05 * v0 < vl < 20.0 * v0:
+    refined = 0.2 * x0 < xb < 5.0 * max(x0, 0.1) and 0.05 * v0 < vl < 20.0 * v0
+    if refined:
         x0, v0 = xb, vl
-    return CatFit(axis, x0, v0, x0 ** 2 / (4.0 * v0), dip)
+    return CatFit(axis, x0, v0, x0 ** 2 / (4.0 * v0), dip, refined)
 
 
 def cat_fit(W: PolyGaussian) -> CatFit | None:
@@ -285,9 +300,10 @@ def _fit_and_squeezing(W: PolyGaussian, n: int | None = None,
                        sigma11: float | None = None) -> tuple[dict, CatFit | None]:
     """The squeezing_estimate dict and the cat fit whose lobes it reads."""
     margs = list(_marginals(W))
-    # prefer the axis with the deeper central dip (true cat lobes, not fringes)
-    fit = min(filter(None, (_fit_axis(a, *mg) for a, mg in zip("xp", margs))),
-              key=lambda f: f.dip_ratio, default=None)
+    # prefer the axis with the deeper central dip (true cat lobes, not fringes);
+    # the fit leaves the dip as it is, so only that axis is refined
+    found = [(*lobes, a, *mg) for a, mg in zip("xp", margs) if (lobes := _lobes(*mg))]
+    fit = _refine(*min(found, key=lambda f: f[0])) if found else None
     vx, vp = (_variance(*mg) for mg in margs)
     out = {"min_var_db": 10.0 * math.log10(2.0 * min(vx, vp)),
            "var_x": vx, "var_p": vp, "method": "min_var"}
@@ -324,6 +340,7 @@ def best_cat_fidelity(W: PolyGaussian, axis: str, parity: int = 1,
     Wc = W
     if np.abs(W.mean).max() > 1e-9:
         Wc = normalize(translate(W, -W.mean))
+    _require_normalized(Wc)
     if seed is None:
         fit = cat_fit(Wc)
         seed = (fit.alpha2, fit.lobe_var) if fit is not None and fit.axis == axis \
@@ -333,8 +350,8 @@ def best_cat_fidelity(W: PolyGaussian, axis: str, parity: int = 1,
         a2, v = q
         if a2 <= 0.01 or v <= 0.02 or v > 6.0:
             return 1.0
-        return -fidelity(Wc, TargetState.cat(math.sqrt(a2), parity,
-                                             lobe_var=v, axis=axis))
+        return -_clipped_overlap(Wc, TargetState.cat(math.sqrt(a2), parity,
+                                                     lobe_var=v, axis=axis))
 
     r = minimize(neg_f, list(seed), method="Nelder-Mead",
                  options={"xatol": 1e-4, "fatol": 1e-7})
@@ -345,7 +362,8 @@ def best_fock_fidelity(W: PolyGaussian, n: int) -> tuple[float, float]:
     """Fidelity against the best squeezed Fock-n target; returns (F, squeeze_db)."""
     from scipy.optimize import minimize_scalar
 
-    r = minimize_scalar(lambda sdb: -fidelity(W, TargetState.fock(n, squeeze_db=float(sdb))),
+    _require_normalized(W)
+    r = minimize_scalar(lambda sdb: -_clipped_overlap(W, TargetState.fock(n, float(sdb))),
                         bounds=(-10.0, 10.0), method="bounded")
     return -float(r.fun), float(r.x)
 
@@ -381,7 +399,8 @@ def score_state(W: PolyGaussian, target: TargetState | None = None,
     delta = wigner_negativity(W)
     sq, fit = _fit_and_squeezing(W, n, sigma11)
     tags = {"squeeze": sq} if fit is None else {
-        "squeeze": sq, "cat_axis": fit.axis, "cat_dip": fit.dip_ratio}
+        "squeeze": sq, "cat_axis": fit.axis, "cat_dip": fit.dip_ratio,
+        "cat_refined": fit.refined}
     sq_db = sq["min_var_db"] if fit is None else sq.get("lobe_db")
     return StateMetrics(F=f, delta=delta, alpha2=None if fit is None else fit.alpha2,
                         squeeze_db=sq_db, parity=parity_indicator(W), method_tags=tags)

@@ -12,7 +12,7 @@ poly is a dense coefficient tensor, one axis per variable.  Every affine change
 of variables (shift, amplifier, rotation, the marginal's decoupling shear) runs
 through one kernel, `_compose_axis`, a one-variable Horner substitution; a
 general linear map is LU-factored into such steps.  Gaussian integrals sum the
-coefficients against a table of raw moments.
+coefficients against a table of raw moments, batched over means.
 """
 
 from __future__ import annotations
@@ -170,21 +170,22 @@ def _compose_axis(coef: np.ndarray, i: int, const: float, own: float,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _moment_table(cov: np.ndarray, mean: np.ndarray, shape) -> np.ndarray:
-    """M[e] = E[prod u_i^e_i] for N(mean, cov) over the index box `shape`, by
-    the recursion on the first non-zero exponent i:
+def _moment_table(cov: np.ndarray, means: np.ndarray, shape) -> np.ndarray:
+    """M[e, k] = E[prod u_i^e_i] for N(means[k], cov), e over the index box
+    `shape`, by the recursion on the first non-zero exponent i:
     M[e + 1_i] = mean_i M[e] + sum_(j >= i) cov_ij e_j M[e - 1_j].
     Entries far above the polynomial's degree may overflow; they multiply zeros."""
     n = len(shape)
-    M = np.zeros(shape, dtype=np.result_type(cov, mean, float))
-    M.flat[0] = 1.0
+    means = np.asarray(means).T                                 # (n, K)
+    M = np.zeros((*shape, means.shape[1]), dtype=np.result_type(cov, means, float))
+    M[(0,) * n] = 1.0
     for i in reversed(range(n)):
-        S = M[(0,) * i]               # axes i..n-1; axes after i are complete
+        S = M[(0,) * i]               # axes i..n-1, K; axes after i are complete
         cross = [(_along(j - i - 1, slice(1, None)), _along(j - i - 1, slice(-1)),
-                  cov[i, j] * np.arange(1, shape[j]).reshape((-1,) + (1,) * (n - j - 1)))
+                  cov[i, j] * np.arange(1, shape[j]).reshape((-1,) + (1,) * (n - j)))
                  for j in range(i + 1, n)]
         for k in range(1, shape[i]):
-            val = mean[i] * S[k - 1]
+            val = means[i] * S[k - 1]
             if k >= 2:
                 val += cov[i, i] * (k - 1) * S[k - 2]
             for hi, lo, c in cross:
@@ -193,14 +194,10 @@ def _moment_table(cov: np.ndarray, mean: np.ndarray, shape) -> np.ndarray:
     return M
 
 
-def _gauss_integral(coef: np.ndarray, cov: np.ndarray, mean: np.ndarray):
-    """E[poly(u)] for u ~ N(mean, cov): the coefficients against the moments."""
-    return np.sum(coef * _moment_table(cov, mean, coef.shape), where=coef != 0.0)
-
-
-def _gauss_moment_fn(cov: np.ndarray, mean: np.ndarray):
-    """Raw-moment evaluator E[prod u_i^e_i] for N(mean, cov)."""
-    return lambda e: _moment_table(cov, mean, np.add(e, 1))[tuple(e)]
+def _gauss_integral(coef: np.ndarray, cov: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """E[poly(u)] for u ~ N(means[k], cov), k = 0..K-1, from one batched table."""
+    return np.sum(coef[..., None] * _moment_table(cov, means, coef.shape),
+                  axis=tuple(range(coef.ndim)), where=(coef != 0.0)[..., None])
 
 
 def _gauss_density(pts: np.ndarray, mean, cov: np.ndarray) -> np.ndarray:
@@ -239,7 +236,7 @@ class PolyGaussian:
 
     def total_mass(self) -> float:
         """Integral of W over all variables (the running success weight)."""
-        return self.norm * _gauss_integral(self.poly.coef, self.cov, self.mean)
+        return self.norm * _gauss_integral(self.poly.coef, self.cov, self.mean[None])[0]
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -387,7 +384,7 @@ def marginal(W: PolyGaussian, keep: list[int]) -> PolyGaussian:
         others = np.zeros(n)
         others[keep] = K[iy]
         coef = _compose_axis(coef, i, c0[iy], 1.0, others)
-    mom_z = _moment_table(Sc, np.zeros(len(drop)), [coef.shape[i] for i in drop])
+    mom_z = _moment_table(Sc, np.zeros((1, len(drop))), [coef.shape[i] for i in drop])[..., 0]
     coef = np.tensordot(coef, mom_z, axes=(drop, range(len(drop))))
     coef = np.transpose(coef, np.argsort(np.argsort(keep)))    # ascending -> keep order
     return PolyGaussian(Vxx, mu_x, MultiPoly.from_coef(coef), W.norm)
@@ -522,7 +519,7 @@ def wigner_negativity(W: PolyGaussian) -> float:
     count = n_real(xs)
     jump = np.flatnonzero(count[1:] != count[:-1])
     lo, hi = xs[jump], xs[jump + 1]
-    for _ in range(40 if jump.size else 0):     # bisect each bracketed change
+    for _ in range(20 if jump.size else 0):     # bisect each bracketed change
         mid = 0.5 * (lo + hi)
         same = n_real(mid) == count[jump]
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
@@ -542,28 +539,28 @@ def wigner_negativity(W: PolyGaussian) -> float:
 
 
 def overlap_terms(W: PolyGaussian, terms) -> float:
-    """Re 2 pi * int W(u) sum_k w_k poly_k(u) N(u; m_k, cov_k), exactly: each
-    product is a poly-Gaussian whose integral is a Gaussian-moment sum.  The
-    weights w_k and means m_k may be complex (coherent-state superpositions);
-    the moment recursion holds unchanged for a complex mean."""
-    if W.nvars != 2 or any(np.shape(term[1]) != (2,) for term in terms):
+    """Re 2 pi * int W(u) sum_k w_k poly(u) N(u; m_k, cov), exactly, over kernel
+    groups (w (K,), m (K, 2), cov, poly): one product covariance, polynomial
+    product and batched moment table per group.  Weights and means may be
+    complex (coherent-state superpositions); the moment recursion still holds."""
+    if W.nvars != 2 or any(np.shape(group[1])[1:] != (2,) for group in terms):
         raise ContractError("overlap is defined for 2-variable states")
     A1 = np.linalg.inv(W.cov)
     a1 = A1 @ W.mean
     const1 = W.mean @ a1 + np.linalg.slogdet(W.cov)[1]
     total = 0.0
-    for w, mean, cov, poly in terms:
+    for w, means, cov, poly in terms:
         A2 = np.linalg.inv(cov)
         pcov = np.linalg.inv(A1 + A2)
         pcov = 0.5 * (pcov + pcov.T)
-        b = a1 + A2 @ mean
-        pmean = pcov @ b
-        log_c = -0.5 * (const1 + mean @ A2 @ mean - b @ pmean + np.linalg.slogdet(cov)[1]
-                        - np.linalg.slogdet(pcov)[1])
-        total += w * np.exp(log_c) * _gauss_integral((W.poly * poly).coef, pcov, pmean)
+        b = a1 + means @ A2.T
+        pmean = b @ pcov.T
+        log_c = -0.5 * (const1 + np.sum(means @ A2 * means - b * pmean, axis=1)
+                        + np.linalg.slogdet(cov)[1] - np.linalg.slogdet(pcov)[1])
+        total += np.sum(w * np.exp(log_c) * _gauss_integral((W.poly * poly).coef, pcov, pmean))
     return W.norm * float(np.real(total))
 
 
 def overlap(W1: PolyGaussian, W2: PolyGaussian) -> float:
     """2 pi * integral(W1 W2): the state overlap when at least one is pure."""
-    return overlap_terms(W1, [(W2.norm, W2.mean, W2.cov, W2.poly)])
+    return overlap_terms(W1, [(np.array([W2.norm]), W2.mean[None], W2.cov, W2.poly)])

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,7 +63,9 @@ class SystemParams:
         return self.g_mhz ** 2 / (self.kappa_mhz * self.gamma_mhz)
 
     def with_squeeze_db(self, db: float) -> "SystemParams":
-        return replace(self, squeeze=SqueezeSpec.from_db(db))
+        out = copy(self)        # replace() would re-run __post_init__ and its warning
+        object.__setattr__(out, "squeeze", SqueezeSpec.from_db(db))
+        return out
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from cvngs import (EpsStage, GridSpec, MeasurementSpec, PipelineSpec,
                    parity_indicator, quadrature_variances, score_state,
                    sigma_from_cov, solve_gain, squeezing_estimate)
 from cvngs.exceptions import ContractError, DomainError
-from cvngs.metrics_targets import _cat_cost_fn, _marginals
+from cvngs.metrics_targets import _cat_cost_fn, _lobes, _marginals
 from tests.test_phase_space import fock1_wigner
 
 
@@ -152,6 +152,21 @@ class TestExactFidelity:
         assert abs(fidelity(W, target) - ref) < 1e-9
 
 
+class TestBatchedOverlap:
+    @pytest.mark.parametrize("target", [
+        TargetState.cat(1.3, 1, lobe_var=0.3, axis="p"),
+        TargetState.four_cat(1.6),
+        TargetState.fock(2, squeeze_db=-2.0)], ids=["cat", "four-cat", "fock"])
+    def test_groups_equal_sum_of_single_terms(self, target):
+        from cvngs.phase_space import overlap_terms
+        W, _ = measured_state(1.0)
+        singles = sum(overlap_terms(W, [(w[k:k + 1], m[k:k + 1], cov, poly)])
+                      for w, m, cov, poly in target.terms for k in range(len(w)))
+        assert len(target.terms) == 1
+        assert len(target.terms[0][0]) == {"cat": 4, "four_cat": 16, "fock": 1}[target.kind]
+        assert overlap_terms(W, target.terms) == pytest.approx(singles, rel=1e-14, abs=0.0)
+
+
 def cat_marginal(x, xb, v, parity):
     """Normalized marginal of the ideal squeezed cat: lobes at +-xb of variance v."""
     def g(c):
@@ -208,6 +223,63 @@ class TestCatSize:
         xb, v = best.x
         assert fit.alpha2 == pytest.approx(xb * xb / (4.0 * v), abs=1e-4)
         assert fit.lobe_var == pytest.approx(v, abs=1e-4)
+
+    def test_cost_walls(self):
+        W, _ = pipeline_state(1.0, gamma=1.6)
+        cost = _cat_cost_fn(*next(_marginals(W)))
+        assert cost((0.0, 0.3), 1) == cost((-0.5, 0.3), 1) == 1e6
+        assert cost((1.0, 1e-4), 1) == 1e6
+        # odd parity at xb -> 0: 1 - exp(-xb^2 / 2v) < 5e-4
+        assert cost((1e-3, 0.3), -1) == 1e6
+        assert cost((1e-3, 0.3), 1) < 1.0
+
+    def test_refined_flag(self):
+        # a one-photon marginal is the odd cat's alpha -> 0 limit: the model fit
+        # leaves the acceptance window and the fit keeps the lobe reading
+        W, _ = pipeline_state(0.5, n=1)
+        fit = cat_fit(W)
+        marg = list(_marginals(W))["xp".index(fit.axis)]
+        assert not fit.refined
+        assert (fit.dip_ratio, fit.x_star, fit.lobe_var) == _lobes(*marg)
+        assert score_state(W).method_tags["cat_refined"] is False
+        W, _ = pipeline_state(1.0, gamma=1.6)
+        assert cat_fit(W).refined
+        assert score_state(W).method_tags["cat_refined"] is True
+
+    def test_work_counts(self, monkeypatch):
+        # deterministic guard on the optimizers' work: Nelder-Mead runs on one
+        # axis only, and every best-fit evaluation builds one moment table
+        import scipy.optimize
+        import cvngs.metrics_targets as mt
+        import cvngs.phase_space as ps
+        from cvngs.metrics_targets import best_cat_fidelity, best_fock_fidelity
+
+        runs, tables, per_eval = [], [], []
+
+        def counted(real, log):
+            def call(*args, **kwargs):
+                log.append(1)
+                return real(*args, **kwargs)
+            return call
+
+        def per_overlap(W, terms):
+            before = len(tables)
+            out = real_overlap(W, terms)
+            per_eval.append(len(tables) - before)
+            return out
+        real_overlap = mt.overlap_terms
+        monkeypatch.setattr(scipy.optimize, "minimize", counted(scipy.optimize.minimize, runs))
+        monkeypatch.setattr(ps, "_moment_table", counted(ps._moment_table, tables))
+        monkeypatch.setattr(mt, "overlap_terms", per_overlap)
+        for kw in FIT_STATES.values():
+            W, _ = pipeline_state(gamma=1.6, **kw)
+            runs.clear()
+            mt._fit_and_squeezing(W)
+            assert len(runs) == 2
+        W, _ = pipeline_state(1.0, gamma=1.6)
+        best_cat_fidelity(W, "p")
+        best_fock_fidelity(W, 2)
+        assert len(per_eval) > 20 and set(per_eval) == {1}
 
     def test_p_axis_detected(self):
         for xi, axis in ((1.0, "p"), (0.0, "x")):

@@ -31,6 +31,13 @@ class TestRates:
             SystemParams(3.0, 7.0, 1.6)
         assert [w.filename for w in caught] == [__file__]
 
+    def test_squeezed_copy_warns_once_at_the_caller(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            p = SystemParams(3.0, 7.0, 1.6).with_squeeze_db(-6.0)
+        assert [w.filename for w in caught] == [__file__]
+        assert p.squeeze.db == pytest.approx(-6.0) and p.gamma_mhz == 1.6
+
     def test_pulse_durations(self):
         p = params()
         assert PulseSpec(0.9).tau_s(p) == pytest.approx(2.9e-9, rel=0.02)
