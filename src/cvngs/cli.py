@@ -15,8 +15,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -234,7 +232,7 @@ def _golden_check(outdir: Path, artifacts: list[str]) -> dict | None:
 # ---------------------------------------------------------------------------
 # command implementations; each returns (report_extras, artifact_names)
 
-def cmd_entanglement_sweep(manifest, outdir, jobs=1):
+def cmd_entanglement_sweep(manifest, outdir):
     params = _params_of(manifest)
     sweep = manifest.get("sweep", {})
     rows = correlation_sweep(params,
@@ -250,7 +248,7 @@ def cmd_entanglement_sweep(manifest, outdir, jobs=1):
             "peak_R": peak["R"]}, ["sweep.csv", "sweep.json"]
 
 
-def cmd_gain_solve(manifest, outdir, jobs=1):
+def cmd_gain_solve(manifest, outdir):
     sigma = _gaussian_of(manifest)[3]
     res = {f"g_{k}_dB": linear_to_db(solve_gain(sigma, xi)) for k, xi in _XI.items()}
     res.update(sigma11=sigma.s11, sigma13=sigma.s13, sigma33=sigma.s33)
@@ -258,7 +256,7 @@ def cmd_gain_solve(manifest, outdir, jobs=1):
     return res, ["gains.json"]
 
 
-def cmd_eps(manifest, outdir, jobs=1):
+def cmd_eps(manifest, outdir):
     _, _, V, sigma = _gaussian_of(manifest)
     spec = _pipeline_of(manifest, sigma)
     W = eps_pipeline(V, spec)
@@ -272,7 +270,7 @@ def cmd_eps(manifest, outdir, jobs=1):
             }, artifacts
 
 
-def cmd_four_cat(manifest, outdir, jobs=1):
+def cmd_four_cat(manifest, outdir):
     V = _gaussian_of(manifest)[2]
     xi1 = manifest.get("four_cat", {}).get("xi1", 0.0)
     res = four_cat_pipeline(V, xi1, _measurement_of(manifest))
@@ -284,7 +282,7 @@ def cmd_four_cat(manifest, outdir, jobs=1):
     return extras, artifacts
 
 
-def cmd_imperfections(manifest, outdir, jobs=1):
+def cmd_imperfections(manifest, outdir):
     """Numeric pipeline and six-parameter closed form side by side."""
     _, _, V, sigma = _gaussian_of(manifest)
     grid = _grid_of(manifest)
@@ -311,7 +309,7 @@ def cmd_imperfections(manifest, outdir, jobs=1):
     return extras, artifacts + cf_artifacts
 
 
-def cmd_oracle(manifest, outdir, jobs=1):
+def cmd_oracle(manifest, outdir):
     params, pulse, _, sigma = _gaussian_of(manifest)
     grid = _grid_of(manifest)
     spec = _pipeline_of(manifest, sigma)
@@ -450,9 +448,9 @@ def _figS4(fid, outdir, overrides):
     lam = math.sqrt(1.0 / sigma.s11)
     ideal = TargetState.four_cat(1.6).wavefunction()
     # normalized-frame comparison: pipeline psi in y = X/lam units
-    rows = [(float(x), float(psi(np.array([x * lam]))[0] * math.sqrt(lam)),
-             float(np.real(ideal(np.array([x]))[0])))
-            for x in np.linspace(-8.0, 8.0, 481)]
+    xs = np.linspace(-8.0, 8.0, 481)
+    rows = zip(xs.tolist(), (psi(xs * lam) * math.sqrt(lam)).tolist(),
+               np.real(ideal(xs)).tolist())
     return _curve(outdir, fid, ["X_M", "psi_pipeline", "psi_ideal"], rows,
                   "four-cat wave functions", ["pipeline", "ideal"])
 
@@ -503,23 +501,13 @@ FIGURES = {
 FIGURE_IDS = list(FIGURES)
 
 
-def _figure(fid: str, outdir: Path, overrides: dict) -> list[str]:
-    return FIGURES[fid](fid, outdir, overrides)
-
-
-def cmd_figures(manifest, outdir, jobs=1):
+def cmd_figures(manifest, outdir):
     overrides = dict(manifest.get("figure", {}))
     which = overrides.pop("which", "all")
     ids = FIGURE_IDS if which == "all" else [which]
     if which != "all" and which not in FIGURES:
         raise ManifestError(f"unknown figure id {which!r}")
-    args = (ids, repeat(outdir), repeat(overrides))
-    if jobs > 1 and len(ids) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            parts = list(ex.map(_figure, *args))
-    else:
-        parts = list(map(_figure, *args))
-    artifacts = [name for part in parts for name in part]
+    artifacts = [name for fid in ids for name in FIGURES[fid](fid, outdir, overrides)]
     for fid in ids:
         own = {k: v for k, v in overrides.items() if k != "mu" or fid in _MU_FIGURES}
         _write_json(outdir / f"{fid}.manifest.json",
@@ -538,7 +526,7 @@ def cmd_figures(manifest, outdir, jobs=1):
 _DISPATCH = {c: globals()["cmd_" + c.replace("-", "_")] for c in COMMANDS}
 
 
-def run(manifest: dict, outdir: Path, jobs: int = 1) -> int:
+def run(manifest: dict, outdir: Path) -> int:
     """Validate and execute a manifest; always writes report.json when possible."""
     report = {"tool": "cvngs", "version": __version__,
               "convention": CONVENTION_TAG}
@@ -548,7 +536,7 @@ def run(manifest: dict, outdir: Path, jobs: int = 1) -> int:
         report["manifest"] = manifest
         report["manifest_sha256"] = hashlib.sha256(
             json.dumps(manifest, sort_keys=True).encode()).hexdigest()
-        extras, artifacts = _DISPATCH[manifest["command"]](manifest, outdir, jobs)
+        extras, artifacts = _DISPATCH[manifest["command"]](manifest, outdir)
     except (ManifestError, CvngsError) as exc:
         if isinstance(exc, ManifestError):
             report["error"] = {"kind": "validation", "message": str(exc)}
@@ -580,8 +568,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--manifest", type=str, default=None,
                     help="JSON manifest path (merged over the chosen command)")
     ap.add_argument("--out", type=str, default="out", help="output directory")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for the figures command")
     ap.add_argument("--grid", type=str, default=None,
                     help='"xmin,xmax,n" rendering grid')
     ap.add_argument("--which", type=str, default=None,
@@ -615,7 +601,7 @@ def main(argv=None) -> int:
             return EXIT_VALIDATION
     if args.which:
         manifest.setdefault("figure", {})["which"] = args.which
-    return run(manifest, Path(args.out), jobs=args.jobs)
+    return run(manifest, Path(args.out))
 
 
 if __name__ == "__main__":

@@ -18,9 +18,9 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .exceptions import ContractError, DomainError
-from .phase_space import (GridSpec, MultiPoly, PolyGaussian, _gauss_density,
-                          marginal, normalize, overlap_terms, translate,
-                          wigner_negativity)
+from .phase_space import (GridSpec, MultiPoly, PolyGaussian, _expect,
+                          _gauss_density, marginal, normalize, overlap_terms,
+                          translate, wigner_negativity)
 
 SQRT2 = math.sqrt(2.0)
 _ONE = MultiPoly.constant(2)
@@ -201,15 +201,6 @@ def _marginals(W: PolyGaussian):
     for i in (0, 1):
         M = marginal(W, [i])
         yield M.norm * M.poly.coef, float(M.mean[0]), float(M.cov[0, 0])
-
-
-def _expect(q, mean, var):
-    """E[q(x)] for x ~ N(mean, var), mean a scalar or an array of means, from
-    the raw moments M_k = mean M_(k-1) + (k-1) var M_(k-2)."""
-    mom = [1.0, mean]
-    for k in range(2, len(q)):
-        mom.append(mean * mom[-1] + (k - 1) * var * mom[-2])
-    return sum(c * mk for c, mk in zip(q, mom))
 
 
 def _variance(q, mu, s) -> float:

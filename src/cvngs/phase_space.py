@@ -194,6 +194,15 @@ def _moment_table(cov: np.ndarray, means: np.ndarray, shape) -> np.ndarray:
     return M
 
 
+def _expect(q, mean, var):
+    """E[q(x)] for x ~ N(mean, var), mean a scalar or an array of means, from
+    the raw moments M_k = mean M_(k-1) + (k-1) var M_(k-2)."""
+    mom = [1.0, mean]
+    for k in range(2, len(q)):
+        mom.append(mean * mom[-1] + (k - 1) * var * mom[-2])
+    return sum(c * mk for c, mk in zip(q, mom))
+
+
 def _gauss_integral(coef: np.ndarray, cov: np.ndarray, means: np.ndarray) -> np.ndarray:
     """E[poly(u)] for u ~ N(means[k], cov), k = 0..K-1, from one batched table."""
     return np.sum(coef[..., None] * _moment_table(cov, means, coef.shape),

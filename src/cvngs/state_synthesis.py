@@ -12,13 +12,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .exceptions import ContractError, DomainError, ZeroWeightError
 from .gaussian_core import (CovMatrix, SigmaMatrix, cov_from_sigma,
                             loss_channel_sigma, sigma_from_cov)
-from .phase_space import (MultiPoly, PolyGaussian, amplify_wigner,
-                          apply_linear_map, gaussian_wigner, normalize,
-                          project_XC, subtract_photon)
+from .phase_space import (MultiPoly, PolyGaussian, _expect, _linear,
+                          amplify_wigner, apply_linear_map, gaussian_wigner,
+                          normalize, project_XC, subtract_photon)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -188,86 +189,46 @@ def xi_from_gain(sigma: SigmaMatrix, g_A: float) -> float:
 # ---------------------------------------------------------------------------
 # analytic wave-function route (pure gamma=0 states)
 
-def _poly1(coeffs: dict[int, float]) -> dict[int, float]:
-    return {k: v for k, v in coeffs.items() if v != 0.0}
-
-
-def phi_poly_coeffs(n: int, xi: float) -> dict[int, float]:
-    """Coefficients (power -> coeff) of phi_{n,xi}(y) in y = X_M / sqrt(2/s11),
+def phi_poly_coeffs(n: int, xi: float) -> np.ndarray:
+    """Ascending coefficients of phi_{n,xi}(y) in y = X_M / sqrt(2/s11),
     valid for all real xi (polynomial form; no sqrt(xi) branch issues)."""
-    out = {}
+    out = np.zeros(n + 1)
     for k in range(n // 2 + 1):
-        c = ((-1.0) ** k * math.factorial(n) * 2.0 ** (n - 2 * k)
-             / (math.factorial(k) * math.factorial(n - 2 * k)))
-        out[n - 2 * k] = out.get(n - 2 * k, 0.0) + c * xi ** k
-    return _poly1(out)
+        out[n - 2 * k] = ((-1.0) ** k * math.factorial(n) * 2.0 ** (n - 2 * k)
+                          / (math.factorial(k) * math.factorial(n - 2 * k))) * xi ** k
+    return out
 
 
 @dataclass(frozen=True)
 class WavefunctionXM:
-    """Real mechanical wave function poly(X) * exp(-s11 (X - d)^2 / 2), normalized."""
+    """Real mechanical wave function q(X - d) * exp(-s11 (X - d)^2 / 2), normalized;
+    `coeffs` holds the ascending coefficients of q in y = X - d."""
 
-    coeffs: dict = field(repr=False)   # power of (X - d) -> coefficient
+    coeffs: np.ndarray = field(repr=False)
     s11: float = 1.0
     displacement: float = 0.0
 
-    def _raw(self, x):
-        y = np.asarray(x, dtype=float) - self.displacement
-        p = np.zeros_like(y)
-        for k, c in self.coeffs.items():
-            p = p + c * y ** k
-        return p * np.exp(-self.s11 * y * y / 2.0)
+    def _gauss_mean(self, q) -> float:
+        # E[q(y)] against exp(-s11 y^2), i.e. y ~ N(0, 1/(2 s11))
+        return _expect(q, 0.0, 0.5 / self.s11)
 
     def norm_constant(self) -> float:
-        # integral of raw^2: sum over monomial pairs of even Gaussian moments
-        tot = 0.0
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in self.coeffs.items():
-                m = k1 + k2
-                if m % 2 == 0:
-                    tot += c1 * c2 * _even_gaussian_moment(m, self.s11)
-        return math.sqrt(tot)
+        q = self.coeffs
+        return math.sqrt(math.sqrt(math.pi / self.s11) * self._gauss_mean(P.polymul(q, q)))
 
     def __call__(self, x):
-        return self._raw(x) / self.norm_constant()
+        y = np.asarray(x, dtype=float) - self.displacement
+        return (P.polyval(y, self.coeffs) * np.exp(-self.s11 * y * y / 2.0)
+                / self.norm_constant())
 
     def mean_phonons(self) -> float:
-        """<m' m> of the normalized state (X^2 + P^2 - 1)/2 expectation."""
-        z = self.norm_constant() ** 2
-        s = self.s11
-        d = self.displacement
-        # work with psi(y + d): <X^2> and <psi'' > via polynomial algebra in y
-        x2 = 0.0
-        kin = 0.0
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in self.coeffs.items():
-                # <X^2> term: (y + d)^2 weight
-                for p, w in ((2, 1.0), (1, 2.0 * d), (0, d * d)):
-                    m = k1 + k2 + p
-                    if m % 2 == 0:
-                        x2 += w * c1 * c2 * _even_gaussian_moment(m, s)
-                # <psi (-d2/dx2) psi> = integral of (psi')^2 with psi' in y
-                # psi' = (c k y^{k-1} - s y c y^k) e^{-s y^2/2}
-                for (ka, wa) in _diff_terms(k1, c1, s):
-                    for (kb, wb) in _diff_terms(k2, c2, s):
-                        m = ka + kb
-                        if m % 2 == 0:
-                            kin += wa * wb * _even_gaussian_moment(m, s)
-        return 0.5 * ((x2 + kin) / z - 1.0)
-
-
-def _diff_terms(k: int, c: float, s: float) -> list[tuple[int, float]]:
-    out = []
-    if k >= 1:
-        out.append((k - 1, c * k))
-    out.append((k + 1, -c * s))
-    return out
-
-
-def _even_gaussian_moment(m: int, s: float) -> float:
-    """integral x^m exp(-s x^2) dx for even m."""
-    k = m // 2
-    return math.gamma(k + 0.5) / s ** (k + 0.5)
+        """<m' m> = (<X^2> + <P^2> - 1)/2 of the normalized state; <P^2> is the
+        integral of (psi')^2, and psi' = (q' - s11 y q) exp(-s11 y^2 / 2)."""
+        q = self.coeffs
+        xq = P.polymul([self.displacement, 1.0], q)
+        dq = P.polysub(P.polyder(q), self.s11 * P.polymulx(q))
+        return 0.5 * (self._gauss_mean(P.polyadd(P.polymul(xq, xq), P.polymul(dq, dq)))
+                      / self._gauss_mean(P.polymul(q, q)) - 1.0)
 
 
 def wavefunction_XM(sigma: SigmaMatrix, g_A: float, n: int,
@@ -287,41 +248,20 @@ def wavefunction_XM(sigma: SigmaMatrix, g_A: float, n: int,
     s33a = sigma.s33 / g_A            # post-amplifier (variance-gain) sigma elements
     s13a = sigma.s13 / math.sqrt(g_A)
 
-    # 2-variable polynomial in (X, Y=X_C) applied to exp(-(s11 X^2 + s33a Y^2
-    # + 2 s13a X Y)/2); trailing substitution Y = zeta.
-    terms = {(0, 0): 1.0}
-
-    def dY(ts):
-        out = {}
-        for (i, j), c in ts.items():
-            if j > 0:
-                out[(i, j - 1)] = out.get((i, j - 1), 0.0) + c * j
-            # chain rule on the Gaussian: -(s33a Y + s13a X)
-            out[(i, j + 1)] = out.get((i, j + 1), 0.0) - c * s33a
-            out[(i + 1, j)] = out.get((i + 1, j), 0.0) - c * s13a
-        return out
-
+    # q(X, Y = X_C) times exp(-(s11 X^2 + s33a Y^2 + 2 s13a X Y)/2); one
+    # annihilation maps q -> (((1 - s33a) Y - s13a X) q + dq/dY) / sqrt(2)
+    step = _linear(0.0, [-s13a, 1.0 - s33a])
+    q = MultiPoly.constant(2)
     for _ in range(n):
-        new = dY(terms)
-        for (i, j), c in terms.items():
-            new[(i, j + 1)] = new.get((i, j + 1), 0.0) + c
-        terms = {k: v / SQRT2 for k, v in new.items() if v != 0.0}
-
-    # substitute Y = zeta; collect a polynomial in X
-    poly_x: dict[int, float] = {}
-    for (i, j), c in terms.items():
-        poly_x[i] = poly_x.get(i, 0.0) + c * zeta ** j
-    # Gaussian part: exp(-(s11 X^2 + 2 s13a zeta X)/2) = exp(-s11 (X-d)^2/2) * const
+        q = (step * q + q.diff(1)).scale(1.0 / SQRT2)
+    # at Y = zeta: exp(-(s11 X^2 + 2 s13a zeta X)/2) = exp(-s11 (X-d)^2/2) * const,
+    # so re-centre the polynomial in X on y = X - d
     d = -s13a * zeta / s11
-    # re-center the polynomial on y = X - d
-    re: dict[int, float] = {}
-    for k, c in poly_x.items():
-        for j in range(k + 1):
-            re[j] = re.get(j, 0.0) + c * math.comb(k, j) * d ** (k - j)
-    re = _poly1(re)
-    if not re:
+    coeffs = MultiPoly.from_coef(P.polyval(zeta, q.coef.T)).substitute_linear(
+        np.eye(1), [d]).coef
+    if not coeffs.any():
         raise ZeroWeightError("wave function vanished (subtraction from vacuum)")
-    return WavefunctionXM(re, s11, d)
+    return WavefunctionXM(coeffs, s11, d)
 
 
 def conversion_rate_gamma(n: int, xi: float) -> float:
@@ -331,10 +271,8 @@ def conversion_rate_gamma(n: int, xi: float) -> float:
     """
     if n < 1:
         raise DomainError(f"photon number must be >= 1, got {n}")
-    coeffs = phi_poly_coeffs(n, xi)
     # phi is expressed in y = X/sqrt(2/s11) = X/sqrt(2) at s11=1: rescale powers
-    scaled = {k: c / SQRT2 ** k for k, c in coeffs.items()}
-    psi = WavefunctionXM(scaled, 1.0, 0.0)
+    psi = WavefunctionXM(phi_poly_coeffs(n, xi) / SQRT2 ** np.arange(n + 1), 1.0, 0.0)
     return psi.mean_phonons() / n
 
 
@@ -392,9 +330,8 @@ def four_cat_wavefunction(sigma: SigmaMatrix, xi1: float) -> WavefunctionXM:
     s11 = sigma.s11
     s2 = 1.0 / s11
     # quartic in y = X/s with s = sqrt(1/s11)
-    coeffs = {4: 1.0 / s2 ** 2, 2: -(5.0 * xi1 + xi2) / s2,
-              0: 2.0 * xi1 ** 2 + xi1 * xi2}
-    return WavefunctionXM(_poly1(coeffs), s11, 0.0)
+    coeffs = [2.0 * xi1 ** 2 + xi1 * xi2, 0.0, -(5.0 * xi1 + xi2) / s2, 0.0, 1.0 / s2 ** 2]
+    return WavefunctionXM(np.array(coeffs), s11, 0.0)
 
 
 # ---------------------------------------------------------------------------

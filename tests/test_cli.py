@@ -184,6 +184,12 @@ class TestMainEntry:
     def test_bad_grid_flag(self, tmp_path):
         assert main(["eps", "--out", str(tmp_path), "--grid", "oops"]) == EXIT_VALIDATION
 
+    def test_jobs_flag_removed(self, tmp_path):
+        # figures run serially; --jobs is an unknown flag, so argparse exits 2
+        with pytest.raises(SystemExit) as exc:
+            main(["figures", "--jobs", "2", "--which", "fig2a", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_manifest_command_mismatch_rejected(self, tmp_path):
         mp = tmp_path / "m.json"
         mp.write_text(json.dumps({"command": "eps"}))

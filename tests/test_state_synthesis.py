@@ -50,7 +50,7 @@ class TestWavefunctionRoute:
         sig = sigma_from_cov(pulsed(gamma=0.0))
         g = solve_gain(sig, 0.0)
         psi = wavefunction_XM(sig, g, 2)
-        assert set(psi.coeffs) == {2}
+        assert np.flatnonzero(psi.coeffs).tolist() == [2]
         xs = np.linspace(0.1, 3.0, 500)
         dens = psi(xs) ** 2
         peak = xs[np.argmax(dens)]
@@ -102,6 +102,24 @@ class TestWavefunctionRoute:
         got = mx.evaluate(xs[:, None])
         want = psi(xs) ** 2
         assert np.abs(got - want).max() < 1e-6
+
+    @pytest.mark.parametrize("R, zeta, n, xi", [(0.5, 1.0, 2, 1.0), (0.9, -0.7, 3, 0.5),
+                                                 (0.5, 0.4, 1, 0.0)])
+    def test_mean_phonons_displaced_matches_pipeline(self, R, zeta, n, xi):
+        # <m' m> = (<X^2> + <P^2> - 1)/2 from the exact raw second moments of the
+        # phase-space pipeline's marginals (gamma = 0, small-eps window)
+        from cvngs.phase_space import _expect, marginal
+        V = pulsed(R=R, gamma=0.0)
+        sig = sigma_from_cov(V)
+        g = solve_gain(sig, xi)
+        W = eps_pipeline(V, PipelineSpec(stages=(EpsStage(g, n),),
+                                         measurement=MeasurementSpec(zeta=zeta, eps=1e-4)))
+        raw2 = [m.norm * _expect(np.r_[0.0, 0.0, m.poly.coef], m.mean[0], m.cov[0, 0])
+                for m in (marginal(W, [i]) for i in (0, 1))]
+        psi = wavefunction_XM(sig, g, n, zeta=zeta)
+        assert psi.mean_phonons() == pytest.approx(0.5 * (sum(raw2) - 1.0), abs=1e-6)
+        xs, dx = np.linspace(-12.0, 12.0, 4801, retstep=True)
+        assert abs(np.sum(psi(xs) ** 2) * dx - 1.0) < 1e-10
 
     def test_pipeline_displacement_matches_formula(self):
         V = pulsed(R=0.5, gamma=1.6)
