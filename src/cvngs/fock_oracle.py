@@ -1,13 +1,14 @@
 """Brute-force Fock-basis oracle for verifying the phase-space pipeline.
 
-Simulates the whole protocol on truncated two-mode density matrices: squeezed
+Simulates the whole protocol in the truncated Fock basis, d = N + 1: squeezed
 input, effective beam splitter, amplifier (squeeze unitary), photon
 subtraction, loss (Kraus), windowed homodyne projection, and Wigner rendering.
-Channels act on the optical axes (c, c') of the (m, c, m', c') tensor of the
-two-mode density matrix, d = N + 1, at O(d^5) or less; no d^2 x d^2 operator
-is formed.  The noisy amplifier (n_A > 0) is not completely positive, so it is
-the one pipeline feature the oracle cannot check.  Used by tests and
-golden-file generation only; never the primary path.
+A state is held as a square-root factor A of its density matrix, rho = A A^dagger,
+with A of shape (d, d, r) over (m, c, column) for two modes.  Every channel acts
+on the optical axis c of A at O(d^3 r) or less; no d^2 x d^2 matrix is formed.
+The noisy amplifier (n_A > 0) is not completely positive, so it is the one
+pipeline feature the oracle cannot check.  Used by tests and golden-file
+generation only; never the primary path.
 """
 
 from __future__ import annotations
@@ -38,16 +39,16 @@ def _squeeze_unitary(dim: int, r: float) -> np.ndarray:
     return expm(0.5 * r * (a @ a - a.T @ a.T))
 
 
-def _bs_sectors(dim: int, R: float):
+def _bs_sectors(dim: int, R: float, kmax: int):
     """exp(-theta (m'c - mc')) with cos(theta) = sqrt(R): m -> sqrt(R) m - sqrt(T) c.
 
     The generator conserves n_m + n_c, so the unitary is block diagonal over
-    the total-photon-number sectors.  Yields (n_tot, ks, block): block acts on
-    the sector basis |k, n_tot - k>, k in ks, which sits at the flat two-mode
-    indices ks * dim + (n_tot - ks).
+    the total-photon-number sectors.  Yields (n_tot, ks, block) for the sectors
+    that hold some k < kmax: block acts on the sector basis |k, n_tot - k>,
+    k in ks, which sits at the flat two-mode indices ks * dim + (n_tot - ks).
     """
     theta = math.acos(math.sqrt(R))
-    for n_tot in range(2 * dim - 1):
+    for n_tot in range(min(2 * dim - 1, dim - 1 + kmax)):
         ks = np.arange(max(0, n_tot - dim + 1), min(n_tot, dim - 1) + 1)
         # generator on |k, n-k>: m'c |k, n-k> = sqrt((k+1)(n-k)) |k+1, n-k-1>
         sub = np.sqrt((ks[:-1] + 1.0) * (n_tot - ks[:-1]))
@@ -67,57 +68,61 @@ def _hermite_functions(xs: np.ndarray, nmax: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockState:
-    """Truncated density matrix over one or two modes (dimension (N+1)^modes)."""
+    """Truncated state over one or two modes as a square-root factor of its
+    density matrix, rho = A A^dagger: `amps` A has shape (d, d, r) over
+    (m, c, column) for two modes and (d, r) for one, d = N + 1."""
 
-    rho: np.ndarray = field(repr=False)
     truncation: int
     n_modes: int
-    weight: float = 1.0     # running success weight of trace-decreasing channels
+    amps: np.ndarray = field(kw_only=True, repr=False)
 
     def __post_init__(self):
-        dim = (self.truncation + 1) ** self.n_modes
-        rho = np.asarray(self.rho, dtype=complex)
+        amps = np.asarray(self.amps)
+        if amps.ndim != self.n_modes + 1 or amps.shape[:-1] != (self.dim,) * self.n_modes:
+            raise DomainError(f"factor has shape {amps.shape}, expected "
+                              f"{(self.dim,) * self.n_modes} + (r,)")
+        object.__setattr__(self, "amps", amps)
+
+    @classmethod
+    def from_density(cls, rho: np.ndarray, truncation: int, n_modes: int) -> "FockState":
+        """Factor a dense (d^modes, d^modes) density matrix by eigh; rejects a
+        non-Hermitian or a non-PSD rho."""
+        dim = (truncation + 1) ** n_modes
+        rho = np.asarray(rho)
         if rho.shape != (dim, dim):
             raise DomainError(f"density matrix has shape {rho.shape}, expected {dim}")
-        # Hermiticity check and symmetrization by row panels: each panel's
-        # adjoint is formed once, and the temporaries stay in cache
-        sym = np.empty_like(rho)
-        worst = scale = 0.0
-        for i in range(0, dim, self.dim):
-            top, adj = rho[i:i + self.dim], rho[:, i:i + self.dim].conj().T
-            worst = max(worst, np.abs(top - adj).max())
-            scale = max(scale, np.abs(top).max())
-            np.add(top, adj, out=sym[i:i + self.dim])
-        if worst > 1e-10 * max(scale, 1e-30):
+        if np.abs(rho - rho.conj().T).max() > 1e-10 * max(np.abs(rho).max(), 1e-30):
             raise DomainError("density matrix is not Hermitian")
-        sym *= 0.5
-        sym.flags.writeable = False
-        object.__setattr__(self, "rho", sym)
+        lam, U = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+        if lam[0] < -1e-10 * max(lam[-1], 0.0):
+            raise DomainError(f"density matrix is not positive (eigenvalue {lam[0]:.3e})")
+        keep = lam > 0
+        amps = U[:, keep] * np.sqrt(lam[keep])
+        return cls(truncation, n_modes,
+                   amps=amps.reshape((truncation + 1,) * n_modes + (-1,)))
 
     @property
     def dim(self) -> int:
         return self.truncation + 1
 
+    def density(self) -> np.ndarray:
+        A = self.amps.reshape(self.dim ** self.n_modes, -1)
+        return A @ A.conj().T
+
     def trace(self) -> float:
-        return float(np.real(np.trace(self.rho)))
+        return float(np.vdot(self.amps, self.amps).real)
 
     def normalized(self) -> "FockState":
         tr = self.trace()
         if tr <= 0:
             raise ZeroWeightError("state has non-positive trace")
-        return FockState(self.rho / tr, self.truncation, self.n_modes,
-                         self.weight * tr)
+        return FockState(self.truncation, self.n_modes, amps=self.amps / math.sqrt(tr))
 
     def check_edge_population(self):
-        d = self.dim
-        if self.n_modes == 1:
-            pop = float(np.real(self.rho[d - 1, d - 1]))
-        else:
-            r4 = self.rho.reshape(d, d, d, d)
-            pop = float(np.real(r4[d - 1, :, d - 1, :].trace()
-                                + r4[:, d - 1, :, d - 1].trace()))
+        edge = (self.amps[-1],) if self.n_modes == 1 else (self.amps[-1], self.amps[:, -1])
+        pop = sum(float(np.vdot(e, e).real) for e in edge)
         tr = max(self.trace(), 1e-300)
         if pop / tr > EDGE_POP_TOL:
             raise TruncationError(
@@ -127,38 +132,25 @@ class FockState:
     def reduced_mechanical(self) -> "FockState":
         if self.n_modes == 1:
             return self
-        d = self.dim
-        r4 = self.rho.reshape(d, d, d, d)
-        rho_m = np.einsum("mcnc->mn", r4)
-        return FockState(rho_m, self.truncation, 1, self.weight)
+        return FockState(self.truncation, 1, amps=self.amps.reshape(self.dim, -1))
 
     def mean_photons(self) -> float:
         """<n> of a single-mode state (normalized)."""
         st = self.normalized()
-        return float(np.real(np.sum(np.arange(st.dim) * np.diag(st.rho))))
+        return float(np.arange(st.dim) @ np.sum(np.abs(st.amps) ** 2, axis=-1))
 
     def quadrature_covariance(self) -> np.ndarray:
-        """Symmetrized second moments (zero-mean states) in (X_M, P_M[, X_C, P_C])."""
-        d = self.dim
-        a = _annihilation(d)
+        """Symmetrized second moments (zero-mean states) in (X_M, P_M[, X_C, P_C]):
+        Re <Q_i A, Q_j A> / tr, the quadratures acting on one axis of the factor."""
+        a = _annihilation(self.dim)
         quads = [(a + a.T) / math.sqrt(2.0), (a - a.T) / (1j * math.sqrt(2.0))]
         tr = self.trace()
         if tr <= 0:
             raise ZeroWeightError("state has non-positive trace")
-        r4 = self.rho.reshape(d, d, d, d) if self.n_modes == 2 else None  # (m, c, m', c')
-        reduced = ([self.rho] if r4 is None else
-                   [np.einsum("mcnc->mn", r4), np.einsum("mcmd->cd", r4)])
-        n = 2 * self.n_modes
-        V = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                qi, qj = quads[i % 2], quads[j % 2]
-                if i // 2 == j // 2:
-                    val = 0.5 * np.trace(reduced[i // 2] @ (qi @ qj + qj @ qi))
-                else:
-                    val = np.einsum("mcnd,nm,dc->", r4, qi, qj)
-                V[i, j] = V[j, i] = float(np.real(val))
-        return V / tr
+        QA = [np.tensordot(q, self.amps, axes=1) for q in quads]     # on m
+        if self.n_modes == 2:
+            QA += [_on_c(q, self.amps) for q in quads]
+        return np.array([[np.vdot(u, v).real for v in QA] for u in QA]) / tr
 
 
 def build_entangled_state(params: SystemParams, pulse: PulseSpec,
@@ -183,16 +175,16 @@ def build_entangled_state(params: SystemParams, pulse: PulseSpec,
 
     # input sum_k p_k |k><k| (x) |sq><sq|; column k of psi is P U (|k> (x) sq),
     # U the beam splitter and P the optical parity (-1)^c, filled sector by
-    # sector without a dense U.  All of it is real.
-    psi = np.zeros((d * d, d))
-    for n_tot, ks, block in _bs_sectors(d, pulse.R):
-        cs = n_tot - ks
-        psi[np.ix_(ks * d + cs, ks)] = ((-1.0) ** cs)[:, None] * block * sq[cs]
-    keep = p > 0
-    psi = psi[:, keep]
-    rho = (psi * p[keep]) @ psi.T
-
-    st = FockState(rho, truncation, 2)
+    # sector without a dense U.  All of it is real, and sqrt(p_k) psi_k are
+    # the columns of the factor; weights below double precision of p_0 are
+    # dropped, which keeps the thermal rank small.
+    r = int(np.count_nonzero(p > np.finfo(float).eps * p[0]))    # p falls with k
+    psi = np.zeros((d * d, r))
+    for n_tot, ks, block in _bs_sectors(d, pulse.R, r):
+        cs, cols = n_tot - ks, ks < r
+        psi[np.ix_(ks * d + cs, ks[cols])] = (((-1.0) ** cs)[:, None] * block[:, cols]
+                                              * sq[cs[cols]])
+    st = FockState(truncation, 2, amps=(psi * np.sqrt(p[:r])).reshape(d, d, r))
     st.check_edge_population()
     return st
 
@@ -235,75 +227,81 @@ def scattering_covariance(params: SystemParams, pulse: PulseSpec) -> CovMatrix:
 
 
 # ---------------------------------------------------------------------------
-# channels
+# channels: each acts on the optical axis c of the (m, c, column) factor
 
-def _apply_on_c(rho: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """(I (x) op) rho (I (x) op)^dagger of a two-mode density matrix, applied on
-    the optical axes of its (m, c, m', c') tensor: op on c, op^dagger on c'."""
-    d = op.shape[0]
-    out = np.matmul(op, rho.reshape(d, d, d * d))      # c, batched over m
-    return (out.reshape(d ** 3, d) @ op.conj().T).reshape(d * d, d * d)
+
+def _on_c(op: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """op on the optical axis c of a (m, c, column) factor, batched over m:
+    the factor of (I (x) op) rho (I (x) op)^dagger."""
+    return np.matmul(op, amps)
+
+
+def _two_mode(state: FockState, what: str):
+    if state.n_modes != 2:
+        raise DomainError(f"{what} acts on the two-mode state")
 
 
 def apply_amplifier(state: FockState, g_quad: float, n_quad: float = 0.0) -> FockState:
     """Quadrature squeeze X_C -> g X_C; the noisy congruence has no unitary
     dilation (non-CP), so n_quad > 0 is rejected."""
-    if state.n_modes != 2:
-        raise DomainError("amplifier acts on the two-mode state")
+    _two_mode(state, "amplifier")
     if g_quad <= 0:
         raise DomainError(f"gain must be positive, got {g_quad}")
     if n_quad != 0.0:
         raise DomainError("oracle amplifier supports n_A = 0 only "
                           "(the noisy map is not completely positive)")
     S = _squeeze_unitary(state.dim, -math.log(g_quad))
-    out = FockState(_apply_on_c(state.rho, S), state.truncation, 2, state.weight)
+    out = FockState(state.truncation, 2, amps=_on_c(S, state.amps))
     out.check_edge_population()
     return out
 
 
 def apply_annihilate_C(state: FockState) -> FockState:
-    """a rho a' on the optical mode, a shift of both optical indices scaled by
-    sqrt(c+1) sqrt(c'+1); keeps the (trace) weight of the branch."""
-    if state.n_modes != 2:
-        raise DomainError("photon subtraction acts on the two-mode state")
-    d = state.dim
-    r4 = state.rho.reshape(d, d, d, d)
-    s = np.sqrt(np.arange(1.0, d))
-    out = np.zeros_like(r4)
-    # in place: a product temporary would be one more d^4 array at the oracle's peak
-    np.multiply(r4[:, 1:, :, 1:], s[:, None, None] * s, out=out[:, :-1, :, :-1])
-    out = FockState(out.reshape(d * d, d * d), state.truncation, 2, state.weight)
+    """a rho a' on the optical mode: a sqrt(c+1)-scaled shift of the factor's
+    c axis; keeps the (trace) weight of the branch."""
+    _two_mode(state, "photon subtraction")
+    A = state.amps
+    out = np.zeros_like(A)
+    out[:, :-1] = A[:, 1:] * np.sqrt(np.arange(1.0, state.dim))[:, None]
+    out = FockState(state.truncation, 2, amps=out)
     if out.trace() <= 1e-14:
         raise ZeroWeightError("subtraction annihilated the state (optical vacuum)")
     return out
 
 
+def _loss_amplitudes(dim: int, eta: float) -> np.ndarray:
+    """a[k, i] with K_k |i + k> = a[k, i] |i> for the loss Kraus operators
+    K_k = sqrt((1-eta)^k/k!) eta^(n/2) a^k: a[k, i]^2 = C(i+k, k) (1-eta)^k eta^i."""
+    ks, i = np.ogrid[:dim, :dim]
+    log_binom = gammaln(i + ks + 1.0) - gammaln(i + 1.0) - gammaln(ks + 1.0)
+    return np.sqrt(np.exp(log_binom) * (1.0 - eta) ** ks * eta ** i)
+
+
 def apply_loss(state: FockState, eta: float) -> FockState:
-    """Loss channel on the optical mode via Kraus operators K_k = sqrt((1-eta)^k/k!)
-    eta^(n/2) a^k.  K_k shifts both optical indices by k, so each diagonal
-    c' - c = delta of the (c, c') plane maps into itself by one real triangular
-    matrix T[u, u + k] = a_k(c) a_k(c'), a_k(i)^2 = C(i+k, k) (1-eta)^k eta^i."""
+    """Loss channel on the optical mode: the blocks K_k A, each a shift of the
+    c axis by k, are stacked on the column axis, so r -> d r."""
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"transmission efficiency must lie in [0, 1], got {eta}")
+    _two_mode(state, "loss")
     if eta == 1.0:
         return state
-    d = state.dim
-    ks, i = np.ogrid[:d, :d]
-    log_binom = gammaln(i + ks + 1.0) - gammaln(i + 1.0) - gammaln(ks + 1.0)
-    a = np.sqrt(np.exp(log_binom) * (1.0 - eta) ** ks * eta ** i)    # a[k, i]
-    # (c, c', m, m') rows; complex entries as float pairs, T is real
-    Y = np.ascontiguousarray(state.rho.reshape(d, d, d, d).transpose(1, 3, 0, 2))
-    Y = Y.reshape(d * d, d * d).view(np.float64)
-    out = np.empty_like(Y)
-    for delta in range(1 - d, d):
-        j0, L = max(0, -delta), d - abs(delta)
-        rows = slice(j0 * (d + 1) + delta, None, d + 1)
-        u, v = np.ogrid[:L, :L]
-        k = np.maximum(v - u, 0)
-        T = np.where(v >= u, a[k, j0 + u] * a[k, j0 + u + delta], 0.0)
-        out[rows][:L] = T @ Y[rows][:L]
-    rho = out.view(complex).reshape(d, d, d, d).transpose(2, 0, 3, 1)
-    return FockState(rho.reshape(d * d, d * d), state.truncation, 2, state.weight)
+    d, A = state.dim, state.amps
+    a = _loss_amplitudes(d, eta)
+    out = np.zeros((d, d, d, A.shape[-1]), A.dtype)     # (m, c, k, column)
+    for k in range(d):
+        out[:, :d - k, k] = a[k, :d - k, None] * A[:, k:]
+    return FockState(state.truncation, 2, amps=out.reshape(d, d, -1))
+
+
+def _loss_adjoint(Pi: np.ndarray, eta: float) -> np.ndarray:
+    """L_eta^dagger(Pi) = sum_k K_k^T Pi K_k: exact in the truncated space,
+    where every K_k maps the space into itself."""
+    d = Pi.shape[0]
+    a = _loss_amplitudes(d, eta)
+    out = np.zeros_like(Pi)
+    for k in range(d):
+        out[k:, k:] += a[k, :d - k, None] * Pi[:d - k, :d - k] * a[k, :d - k]
+    return out
 
 
 def _window_povm(dim: int, zeta: float, eps: float) -> np.ndarray:
@@ -328,22 +326,22 @@ def _window_povm(dim: int, zeta: float, eps: float) -> np.ndarray:
 
 def apply_homodyne_window(state: FockState, zeta: float, eps: float,
                           mu: float = 1.0) -> FockState:
-    """Windowed X_C homodyne: POVM on C then partial trace; mu < 1 as pre-loss."""
-    if state.n_modes != 2:
-        raise DomainError("homodyne acts on the two-mode state")
+    """Windowed X_C homodyne: POVM on C then partial trace.  mu < 1 is a
+    pre-loss, folded into the POVM as L_mu^dagger(Pi)."""
+    _two_mode(state, "homodyne")
     if eps <= 0:
         raise DomainError(f"measurement error must be positive, got {eps}")
     if not 0.0 < mu <= 1.0:
         raise DomainError(f"efficiency must lie in (0, 1], got {mu}")
-    st = apply_loss(state, mu) if mu < 1.0 else state
-    d = st.dim
+    d, A = state.dim, state.amps
     Pi = _window_povm(d, zeta, eps)
-    r4 = st.rho.reshape(d, d, d, d)
-    rho_m = np.einsum("mcnd,dc->mn", r4, Pi)
-    out = FockState(rho_m, st.truncation, 1, st.weight)
-    if out.trace() <= 1e-16:
+    if mu < 1.0:
+        Pi = _loss_adjoint(Pi, mu)
+    # rho_m = Tr_c[(I (x) Pi) rho] = (Pi on c of A) A^dagger, over (m, (c, column))
+    rho_m = _on_c(Pi, A).reshape(d, -1) @ A.reshape(d, -1).conj().T
+    if np.trace(rho_m).real <= 1e-16:
         raise ZeroWeightError("homodyne window has vanishing overlap with the state")
-    return out
+    return FockState.from_density(rho_m, state.truncation, 1)
 
 
 def wigner_from_density(state: FockState, grid: GridSpec = GridSpec()) -> np.ndarray:
@@ -351,21 +349,23 @@ def wigner_from_density(state: FockState, grid: GridSpec = GridSpec()) -> np.nda
     if state.n_modes != 1:
         raise DomainError("wigner_from_density expects the reduced single-mode state")
     st = state.normalized()
-    d = st.dim
-    xs = grid.axis
-    extent = math.sqrt(2.0 * d + 1.0) + 4.0
-    dy = 0.02
-    # y grid symmetric about 0, so psi_n(x - y/2) is psi_n(x + y/2) reversed
-    K = math.ceil(2.0 * extent / dy)
-    ys = dy * np.arange(-K, K + 1)
-    # M(x, y) = <x+y/2|rho|x-y/2>, with the real and imaginary parts of rho apart
-    Mr, Mi = np.empty((2, len(xs), len(ys)))
-    for ix, x in enumerate(xs):
-        Pp = _hermite_functions(x + ys / 2.0, d - 1)     # (d, ny)
-        Mr[ix] = np.sum(Pp * (st.rho.real @ Pp[:, ::-1]), axis=0)
-        Mi[ix] = np.sum(Pp * (st.rho.imag @ Pp[:, ::-1]), axis=0)
-    yp = np.outer(ys, xs)           # Re(M e^{-i y p})
-    return (Mr @ np.cos(yp) + Mi @ np.sin(yp)) * dy / (2.0 * math.pi)
+    rho, d = st.density(), st.dim
+    # psi_m(x + y/2) psi_n(x - y/2) e^{-ipy} is band-limited in y to
+    # sqrt(2d + 1) + |p|.  The y step resolves that band four times over and
+    # divides 2 x (grid step), so every x +- y/2 lies on one lattice u of
+    # spacing dy/2, where the psi_n are evaluated once.
+    band = math.sqrt(2.0 * d + 1.0) + max(abs(grid.xmin), abs(grid.xmax))
+    q = math.ceil(4.0 * grid.step * band / math.pi)
+    dy = 2.0 * grid.step / q
+    K = math.ceil(2.0 * (math.sqrt(2.0 * d + 1.0) + 4.0) / dy)
+    k = np.arange(-K, K + 1)
+    u = grid.xmin + (np.arange(q * (grid.n - 1) + 2 * K + 1) - K) * (dy / 2.0)
+    psi = _hermite_functions(u, d - 1)
+    G = psi.T @ rho @ psi                       # <u_a|rho|u_b>
+    j = q * np.arange(grid.n)[:, None] + K
+    M = G[j + k, j - k]                         # <x + y/2|rho|x - y/2>
+    yp = np.outer(dy * k, grid.axis)            # Re(M e^{-i y p})
+    return (M.real @ np.cos(yp) + M.imag @ np.sin(yp)) * dy / (2.0 * math.pi)
 
 
 def run_eps_oracle(params: SystemParams, pulse: PulseSpec, g_A_var: float,
@@ -379,20 +379,17 @@ def run_eps_oracle(params: SystemParams, pulse: PulseSpec, g_A_var: float,
     sqrt(g_A_var)).  Pass a prebuilt `state` to reuse the entangled input.
     """
     st = state if state is not None else build_entangled_state(params, pulse, truncation)
-    truncation = st.truncation
     if eta < 1.0:
         st = apply_loss(st, eta)
-    # with dark counts the n-1 click branch is the heralded chain one step short;
-    # the chain holds the only reference to the amplified state, which it frees
-    unheralded, st = apply_amplifier(st, math.sqrt(g_A_var)), None
+    # with dark counts the n-1 click branch is the heralded chain one step short
+    unheralded = apply_amplifier(st, math.sqrt(g_A_var))
     for _ in range(n_sub - 1):
         unheralded = apply_annihilate_C(unheralded)
     heralded = apply_annihilate_C(unheralded) if n_sub > 0 else unheralded
     if nu < 1.0 and n_sub > 0:
-        rho = (nu * heralded.rho / heralded.trace()
-               + (1.0 - nu) * unheralded.rho / unheralded.trace())
-        st = FockState(rho, truncation, 2)
-    else:
-        st = heralded
-    st = apply_homodyne_window(st, zeta, eps, mu)
-    return st.normalized()
+        # the mixture nu rho_h / tr_h + (1 - nu) rho_u / tr_u, stacked as columns
+        amps = np.concatenate(
+            [math.sqrt(nu / heralded.trace()) * heralded.amps,
+             math.sqrt((1.0 - nu) / unheralded.trace()) * unheralded.amps], axis=-1)
+        heralded = FockState(st.truncation, 2, amps=amps)
+    return apply_homodyne_window(heralded, zeta, eps, mu).normalized()

@@ -52,7 +52,7 @@ class SqueezeSpec:
         return 10.0 * np.log10(self.linear)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovMatrix:
     """4x4 two-mode covariance matrix V."""
 
@@ -105,7 +105,7 @@ class CovMatrix:
         return cls(np.array(d["entries"], dtype=float).reshape(4, 4))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SigmaMatrix:
     """sigma = V^-1 / 2, the quadratic form of the Gaussian Wigner exponent."""
 

@@ -216,7 +216,7 @@ def _gauss_density(pts: np.ndarray, mean, cov: np.ndarray) -> np.ndarray:
     return np.exp(expo) / ((2.0 * np.pi) ** (len(cov) / 2.0) * np.sqrt(np.linalg.det(cov)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyGaussian:
     """norm * poly(u) * N(u; mean, cov) over nvars quadratures."""
 

@@ -199,7 +199,7 @@ def phi_poly_coeffs(n: int, xi: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WavefunctionXM:
     """Real mechanical wave function q(X - d) * exp(-s11 (X - d)^2 / 2), normalized;
     `coeffs` holds the ascending coefficients of q in y = X - d."""

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import eval_laguerre
 
 from cvngs import (EpsStage, GridSpec, MeasurementSpec, PipelineSpec,
                    PulseSpec, SystemParams, covariance_after_pulse,
                    eps_pipeline, evaluate_grid, sigma_from_cov, solve_gain)
 from cvngs.exceptions import DomainError, TruncationError, ZeroWeightError
-from cvngs.fock_oracle import (FockState, _annihilation, _apply_on_c,
+from cvngs.fock_oracle import (FockState, _annihilation, _on_c,
                                _squeeze_unitary, apply_amplifier,
                                apply_annihilate_C, apply_homodyne_window, apply_loss,
                                build_entangled_state, run_eps_oracle,
@@ -28,11 +30,11 @@ class TestBuild:
     def test_r_one_is_product_vacuum_mechanics(self):
         st = build_entangled_state(params(), PulseSpec(1.0 - 1e-15), truncation=28)
         rho_m = st.reduced_mechanical().normalized()
-        assert np.real(rho_m.rho[0, 0]) == pytest.approx(1.0, abs=1e-10)
+        assert np.real(rho_m.density()[0, 0]) == pytest.approx(1.0, abs=1e-10)
 
     def test_vacuum_input_stays_vacuum(self):
         st = build_entangled_state(params(db=0.0), PulseSpec(0.5), truncation=12)
-        assert np.real(st.rho[0, 0]) == pytest.approx(1.0, abs=1e-12)
+        assert np.real(st.density()[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_second_moments_match_covariance(self, entangled_40):
         V = covariance_after_pulse(params(), PulseSpec(0.5))
@@ -59,7 +61,7 @@ class TestBuild:
         rho_in = np.kron(np.diag(pm / pm.sum()), np.outer(sq, sq))
         ref = U @ rho_in @ U.T
         st = build_entangled_state(p, pulse, truncation=N)
-        assert np.abs(st.rho - ref).max() <= 1e-13
+        assert np.abs(st.density() - ref).max() <= 1e-13
 
     def test_gamma_requires_moment_oracle(self):
         with pytest.raises(DomainError):
@@ -83,7 +85,7 @@ class TestScatteringCovariance:
 class TestChannels:
     def test_loss_identity(self, entangled_40):
         out = apply_loss(entangled_40, 1.0)
-        assert np.abs(out.rho - entangled_40.rho).max() == 0.0
+        assert np.abs(out.density() - entangled_40.density()).max() == 0.0
 
     def test_loss_trace_preserving(self, entangled_40):
         out = apply_loss(entangled_40, 0.7)
@@ -130,7 +132,7 @@ class TestChannels:
 
 
 class TestModeWiseChannels:
-    """The channels act on the optical axes of the (m, c, m', c') tensor; the
+    """The channels act on the optical axis c of the (m, c, column) factor; the
     reference is the dense congruence with kron(I, op) on the d^2 x d^2 matrix."""
 
     N = 8
@@ -142,7 +144,7 @@ class TestModeWiseChannels:
         rng = np.random.default_rng(7)
         A = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
         rho = A @ A.conj().T
-        return FockState(rho / np.trace(rho).real, self.N, 2)
+        return FockState.from_density(rho / np.trace(rho).real, self.N, 2)
 
     @staticmethod
     def congruence(rho, ops):
@@ -160,17 +162,25 @@ class TestModeWiseChannels:
         # the amplifier checks edge population, so use a state well inside N = 8
         st = build_entangled_state(params(db=-1.0), PulseSpec(0.9), truncation=self.N)
         g = 1.2
-        ref = self.congruence(st.rho, [_squeeze_unitary(st.dim, -math.log(g))])
-        self.assert_close(apply_amplifier(st, g).rho, ref)
+        ref = self.congruence(st.density(), [_squeeze_unitary(st.dim, -math.log(g))])
+        self.assert_close(apply_amplifier(st, g).density(), ref)
 
     def test_apply_on_c_complex_operator(self, state):
         rng = np.random.default_rng(8)
         op = rng.standard_normal((state.dim,) * 2) + 1j * rng.standard_normal((state.dim,) * 2)
-        self.assert_close(_apply_on_c(state.rho, op), self.congruence(state.rho, [op]))
+        out = FockState(state.truncation, 2, amps=_on_c(op, state.amps))
+        self.assert_close(out.density(), self.congruence(state.density(), [op]))
 
     def test_subtraction(self, state):
-        ref = self.congruence(state.rho, [_annihilation(state.dim)])
-        self.assert_close(apply_annihilate_C(state).rho, ref)
+        ref = self.congruence(state.density(), [_annihilation(state.dim)])
+        self.assert_close(apply_annihilate_C(state).density(), ref)
+
+    @pytest.mark.parametrize("mu", [0.3, 0.8])
+    def test_folded_efficiency_matches_loss_then_window(self, state, mu):
+        # L_mu^dagger(Pi) in the POVM against the loss channel, then the window
+        folded = apply_homodyne_window(state, 0.3, 0.15, mu)
+        ref = apply_homodyne_window(apply_loss(state, mu), 0.3, 0.15)
+        self.assert_close(folded.density(), ref.density())
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9])
     def test_loss_matches_kraus_sum(self, state, eta):
@@ -179,8 +189,55 @@ class TestModeWiseChannels:
         eta_n = np.diag(math.sqrt(eta) ** np.arange(d))
         kraus = [math.sqrt((1.0 - eta) ** k / math.factorial(k))
                  * eta_n @ np.linalg.matrix_power(a, k) for k in range(d)]
-        self.assert_close(apply_loss(state, eta).rho,
-                          self.congruence(state.rho, kraus))
+        self.assert_close(apply_loss(state, eta).density(),
+                          self.congruence(state.density(), kraus))
+
+
+class TestFactor:
+    """rho = A A^dagger; dense matrices enter only through from_density."""
+
+    def test_density_round_trip(self):
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((16, 5)) + 1j * rng.standard_normal((16, 5))
+        rho = A @ A.conj().T
+        st = FockState.from_density(rho, 3, 2)
+        assert st.amps.shape[:2] == (4, 4)
+        assert np.abs(st.density() - rho).max() <= 1e-13 * np.abs(rho).max()
+
+    def test_from_density_rejects_non_psd(self):
+        with pytest.raises(DomainError, match="not positive"):
+            FockState.from_density(np.diag([1.0, 0.5, -0.2]), 2, 1)
+
+    def test_from_density_rejects_non_hermitian(self):
+        rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        rho[0, 1] = 0.1j
+        with pytest.raises(DomainError, match="not Hermitian"):
+            FockState.from_density(rho, 2, 1)
+
+    def test_positional_density_rejected(self):
+        # a dense rho passed as the factor would silently be squared
+        with pytest.raises(TypeError):
+            FockState(np.eye(3) / 3.0, 2, 1)
+
+    def test_equality_is_identity(self):
+        st = FockState.from_density(np.eye(3) / 3.0, 2, 1)
+        assert (st == st) is True
+        assert (st == FockState(2, 1, amps=st.amps)) is False
+
+    def test_oracle_memory_stays_small(self):
+        # N = 40 with loss, efficiency and dark counts: the dense two-mode
+        # route peaked near 364 MB on this case; the factor stays a few MB
+        p, pulse = params(), PulseSpec(0.9)
+        g = solve_gain(sigma_from_cov(covariance_after_pulse(p, pulse)), 0.5)
+        kw = dict(eta=0.9, mu=0.8, nu=0.97, zeta=0.2, truncation=40)
+        run_eps_oracle(p, pulse, g, 3, **kw)        # first-call caches
+        tracemalloc.start()
+        try:
+            run_eps_oracle(p, pulse, g, 3, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
 
 class TestWigner:
@@ -188,7 +245,7 @@ class TestWigner:
         d = 13
         rho = np.zeros((d, d), complex)
         rho[0, 0] = 1.0
-        st = FockState(rho, 12, 1)
+        st = FockState.from_density(rho, 12, 1)
         W = wigner_from_density(st, GridSpec())
         assert W.max() == pytest.approx(1.0 / math.pi, rel=1e-6)
         assert W.sum() * GridSpec().step ** 2 == pytest.approx(1.0, abs=1e-6)
@@ -197,7 +254,7 @@ class TestWigner:
         d = 13
         rho = np.zeros((d, d), complex)
         rho[1, 1] = 1.0
-        st = FockState(rho, 12, 1)
+        st = FockState.from_density(rho, 12, 1)
         g = GridSpec()
         W = wigner_from_density(st, g)
         i0 = g.n // 2
@@ -215,28 +272,39 @@ class TestWigner:
         phase = (-1j) ** np.arange(d)
         rho_rot = phase[:, None] * rho * phase.conj()[None, :]
         g = GridSpec(-4.0, 4.0, 41)
-        W = wigner_from_density(FockState(rho, 12, 1), g)
-        W_rot = wigner_from_density(FockState(rho_rot, 12, 1), g)
+        W = wigner_from_density(FockState.from_density(rho, 12, 1), g)
+        W_rot = wigner_from_density(FockState.from_density(rho_rot, 12, 1), g)
         assert np.abs(W_rot - np.rot90(W, -1)).max() < 1e-12
+
+    def test_fock_states_match_laguerre_closed_form(self):
+        # W_n = (-1)^n L_n(2 r^2) e^{-r^2} / pi, vacuum variance 1/2
+        g = GridSpec(-8.0, 8.0, 161)
+        r2 = g.axis[:, None] ** 2 + g.axis[None, :] ** 2
+        for n in range(41):
+            amps = np.zeros((41, 1))
+            amps[n] = 1.0
+            W = wigner_from_density(FockState(40, 1, amps=amps), g)
+            ref = (-1) ** n * eval_laguerre(n, 2.0 * r2) * np.exp(-r2) / math.pi
+            assert np.abs(W - ref).max() < 1e-12, n
 
 
 class TestTruncationConvergence:
     def test_truncation_stable_beyond_default(self):
-        # raising N above the default 40 moves metrics by < 1e-4 (a doubled
-        # two-mode density matrix would need ~5 GB, so 52 serves as the probe)
+        # raising N above the default 40 to the doubling that
+        # TruncationError.suggested names moves metrics by < 1e-4
         p = params()
         pulse = PulseSpec(0.9)
         from cvngs import covariance_after_pulse, sigma_from_cov, solve_gain
         sig = sigma_from_cov(covariance_after_pulse(p, pulse))
         g = solve_gain(sig, 0.5)
         vals = {}
-        for N in (40, 52):
+        for N in (40, 80):
             st = run_eps_oracle(p, pulse, g, 2, truncation=N)
             rho = st.reduced_mechanical()
             W = wigner_from_density(rho, GridSpec())
             vals[N] = (rho.mean_photons(), float(W[GridSpec().n // 2, GridSpec().n // 2]))
-        assert abs(vals[40][0] - vals[52][0]) < 1e-4
-        assert abs(vals[40][1] - vals[52][1]) < 1e-4
+        assert abs(vals[40][0] - vals[80][0]) < 1e-4
+        assert abs(vals[40][1] - vals[80][1]) < 1e-4
 
 
 class TestPartialTranspose:
@@ -244,7 +312,7 @@ class TestPartialTranspose:
         from cvngs import logarithmic_negativity
         st = build_entangled_state(params(), PulseSpec(0.5), truncation=30)
         d = st.dim
-        r4 = (st.rho / st.trace()).reshape(d, d, d, d)
+        r4 = (st.density() / st.trace()).reshape(d, d, d, d)
         rho_pt = r4.transpose(0, 3, 2, 1).reshape(d * d, d * d)
         ev = np.linalg.eigvalsh(rho_pt)
         en_fock = math.log(float(np.sum(np.abs(ev))))

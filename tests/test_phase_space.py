@@ -150,7 +150,7 @@ class TestSubtraction:
         st = build_entangled_state(p, PulseSpec(1.0 - 1e-14), truncation=40)
         st = apply_annihilate_C(st)
         d = st.dim
-        r4 = (st.rho / st.trace()).reshape(d, d, d, d)
+        r4 = (st.density() / st.trace()).reshape(d, d, d, d)
         rho_c = np.einsum("mcmd->cd", r4)
         n_oracle = float(np.real(np.sum(np.arange(d) * np.diag(rho_c))))
         assert abs(n_ps - n_oracle) < 1e-6
@@ -303,6 +303,16 @@ class TestGridAndNegativity:
     def test_degenerate_grid_rejected(self):
         with pytest.raises(DomainError):
             GridSpec(0.0, 0.0, 100)
+
+
+class TestEquality:
+    def test_array_holding_states_compare_by_identity(self):
+        # the generated == would compare ndarray fields and raise
+        W = fock1_wigner()
+        assert (W == normalize(W)) is False
+        assert (W == W) is True
+        V = pulsed_V()
+        assert (V == CovMatrix(V.entries)) is False
 
 
 class TestOverlap:
