@@ -100,6 +100,9 @@ def validate_manifest(manifest: dict) -> dict:
     pulse = manifest.get("pulse", {})
     if "R" in pulse and "tau_ns" in pulse:
         raise ManifestError("pulse: give exactly one of R or tau_ns")
+    for i, st in enumerate(manifest.get("stages", ())):
+        if sum(k in st for k in ("g_db", "g_linear", "xi")) != 1:
+            raise ManifestError(f"stages[{i}]: give exactly one of g_db, g_linear, xi")
     grid = manifest.get("grid", {})
     if not grid.get("xmax", GridSpec.xmax) > grid.get("xmin", GridSpec.xmin):
         raise ManifestError("grid: xmax must exceed xmin")
@@ -144,10 +147,8 @@ def _stages_of(manifest, sigma) -> tuple[EpsStage, ...]:
             g = 10.0 ** (st["g_db"] / 10.0)
         elif "g_linear" in st:
             g = st["g_linear"]
-        elif "xi" in st:
-            g = solve_gain(sigma, st["xi"])
         else:
-            raise ManifestError("stage: give one of g_db, g_linear, xi")
+            g = solve_gain(sigma, st["xi"])
         out.append(EpsStage(g, st.get("n", 2), st.get("n_A", 0.0)))
     return tuple(out)
 
@@ -238,10 +239,8 @@ def cmd_entanglement_sweep(manifest, outdir):
     rows = correlation_sweep(params,
                              sweep.get("r_grid", list(np.linspace(0.02, 0.98, 97))),
                              sweep.get("squeeze_db_grid", [params.squeeze.db]))
-    _write_csv(outdir / "sweep.csv",
-               ["R", "tau_s", "S_in_dB", "E_N", "steering_MC"],
-               [(r["R"], r["tau_s"], r["S_in_dB"], r["E_N"], r["steering_MC"])
-                for r in rows])
+    header = ["R", "tau_s", "S_in_dB", "E_N", "steering_MC"]
+    _write_csv(outdir / "sweep.csv", header, [[r[k] for k in header] for r in rows])
     _write_json(outdir / "sweep.json", rows)
     peak = max(rows, key=lambda r: r["E_N"])
     return {"n_rows": len(rows), "peak_E_N": peak["E_N"],
@@ -256,10 +255,15 @@ def cmd_gain_solve(manifest, outdir):
     return res, ["gains.json"]
 
 
-def cmd_eps(manifest, outdir):
+def _eps_state(manifest):
+    """(sigma, spec, W): the manifest's EPS pipeline and the mechanical state it heralds."""
     _, _, V, sigma = _gaussian_of(manifest)
     spec = _pipeline_of(manifest, sigma)
-    W = eps_pipeline(V, spec)
+    return sigma, spec, eps_pipeline(V, spec)
+
+
+def cmd_eps(manifest, outdir):
+    sigma, spec, W = _eps_state(manifest)
     _, artifacts = _render(outdir, "state", W, _grid_of(manifest),
                            "mechanical Wigner function")
     stages = spec.stages
@@ -284,14 +288,12 @@ def cmd_four_cat(manifest, outdir):
 
 def cmd_imperfections(manifest, outdir):
     """Numeric pipeline and six-parameter closed form side by side."""
-    _, _, V, sigma = _gaussian_of(manifest)
+    sigma, spec, W = _eps_state(manifest)
     grid = _grid_of(manifest)
-    spec = _pipeline_of(manifest, sigma)
     stages, meas = spec.stages, spec.measurement
     if len(stages) != 1 or stages[0].n != 2:
         raise DomainError("the closed form covers a single 2-photon stage")
 
-    W = eps_pipeline(V, spec)
     num_field, artifacts = _render(outdir, "numeric", W, grid, "numeric pipeline")
 
     sig = loss_channel_sigma(sigma, spec.eta)
@@ -334,91 +336,80 @@ def cmd_oracle(manifest, outdir):
 # that writes the figure's artifacts and returns their names
 
 
-def _eps_grid(R, rule=None, g=1.0, squeeze_db=-6.0, n_m=0.0, eta=1.0, nu=1.0,
-              measurement=MeasurementSpec()):
-    """Builder of a one-stage n = 2 EPS Wigner map; rule 'p'/'F'/'x' solves the
-    gain for that xi, otherwise the stage uses the fixed gain g."""
+def _eps_map(R, rule=None, g=1.0, **manifest):
+    """Builder of a one-stage n = 2 EPS Wigner map: the eps state of a small
+    manifest at reflectivity R.  Rule 'p'/'F'/'x' solves the gain for that xi,
+    otherwise the stage uses the fixed gain g."""
+    stage = {"g_linear": g} if rule is None else {"xi": _XI[rule]}
+    manifest = dict(manifest, pulse={"R": R}, stages=[stage])
+
     def build(fid, outdir, overrides):
-        params = SystemParams(3.0, 7.0, 1.6, n_m).with_squeeze_db(squeeze_db)
-        V = covariance_after_pulse(params, PulseSpec(R))
-        gain = g if rule is None else solve_gain(sigma_from_cov(V), _XI[rule])
-        spec = PipelineSpec(stages=(EpsStage(gain, 2),), measurement=measurement,
-                            eta=eta, dark_count=nu)
-        return _render(outdir, fid, eps_pipeline(V, spec), GridSpec(), fid)[1]
+        return _render(outdir, fid, _eps_state(manifest)[2], GridSpec(), fid)[1]
     return build
 
 
-def _correlations(gamma, n_r, title, columns):
-    """Builder of E_N and M->C steering against R at -6 and -3 dB input squeezing."""
+def _curve_figure(rows, header, title, columns):
+    """Builder of a curve figure whose CSV rows are rows(fid, overrides)."""
     def build(fid, outdir, overrides):
-        rows = []
-        for db in (-6.0, -3.0):
-            params = SystemParams(3.0, 7.0, gamma).with_squeeze_db(db)
-            for r in np.linspace(0.02, 0.995, n_r):
-                V = covariance_after_pulse(params, PulseSpec(float(r)))
-                rows.append((float(r), db, logarithmic_negativity(V),
-                             epr_steering_MtoC(V)))
-        return _curve(outdir, fid, ["R", "S_in_dB", "E_N", "steering_MC"], rows,
-                      title, columns)
+        return _curve(outdir, fid, header, rows(fid, overrides), title, columns)
     return build
 
 
-def _fig2b(fid, outdir, overrides):
-    params = SystemParams(3.0, 7.0, 1.6).with_squeeze_db(-6.0)
-    rows = []
+def _V(gamma, R):
+    """Post-pulse covariance at the paper's g and kappa and -6 dB input squeezing."""
+    return covariance_after_pulse(SystemParams(3.0, 7.0, gamma).with_squeeze_db(-6.0),
+                                  PulseSpec(R))
+
+
+def _correlation_figure(gamma, n_r, title, columns):
+    """Builder of E_N and M->C steering against R at -6 and -3 dB input squeezing,
+    from the entanglement-sweep rows."""
+    header = ["R", "S_in_dB", "E_N", "steering_MC"]
+
+    def rows(fid, overrides):
+        sweep = correlation_sweep(SystemParams(3.0, 7.0, gamma),
+                                  np.linspace(0.02, 0.995, n_r), (-6.0, -3.0))
+        return ([r[k] for k in header] for r in sweep)
+    return _curve_figure(rows, header, title, columns)
+
+
+def _gain_rows(fid, overrides):
     for r in np.linspace(0.05, 0.995, 120):
-        sigma = sigma_from_cov(covariance_after_pulse(params, PulseSpec(float(r))))
-        rows.append((float(r), *(linear_to_db(solve_gain(sigma, _XI[k]))
-                                 for k in "pFx")))
-    return _curve(outdir, fid, ["R", "g_p_dB", "g_F_dB", "g_x_dB"], rows,
-                  "required gains vs R", ["g_p", "g_F", "g_x"])
+        sigma = sigma_from_cov(_V(1.6, float(r)))
+        yield (float(r), *(linear_to_db(solve_gain(sigma, _XI[k])) for k in "pFx"))
 
 
-def _fig3_cooperativity(fid, outdir, overrides):
+def _cooperativity_rows(fid, overrides):
     """Quality vs 1/C_om at R = 0.5: (a) P-cat, (b) Fock."""
-    xi = 1.0 if fid == "fig3a" else 0.5
-    rows = []
     for inv_c in np.linspace(0.05, 2.5, 18):
-        gamma = inv_c * 9.0 / 7.0
-        params = SystemParams(3.0, 7.0, gamma).with_squeeze_db(-6.0)
-        V = covariance_after_pulse(params, PulseSpec(0.5))
-        sigma = sigma_from_cov(V)
-        W = eps_pipeline(V, PipelineSpec(stages=(EpsStage(solve_gain(sigma, xi), 2),)))
+        sigma, _, W = _eps_state({"params": {"gamma_mhz": inv_c * 9.0 / 7.0},
+                                  "pulse": {"R": 0.5},
+                                  "stages": [{"xi": 1.0 if fid == "fig3a" else 0.5}]})
         m = score_state(W, sigma11=sigma.s11)
         F = (best_cat_fidelity(W, "p") if fid == "fig3a" else best_fock_fidelity(W, 2))[0]
-        rows.append((float(inv_c), F, m.delta,
-                     m.alpha2 if m.alpha2 is not None else float("nan")))
-    return _curve(outdir, fid, ["inv_C_om", "F", "delta", "alpha2"], rows,
-                  "quality vs 1/C_om", ["F", "delta", "alpha2"])
+        yield (float(inv_c), F, m.delta,
+               m.alpha2 if m.alpha2 is not None else float("nan"))
 
 
-def _fig3_efficiency(fid, outdir, overrides):
+def _efficiency_rows(fid, overrides):
     """Quality vs total detection efficiency Gamma = eta + mu.
 
     The split is ambiguous, so mu stays fixed (default 0.8, manifest-overridable)
     and eta is swept; the split is recorded in every row."""
-    xi = 1.0 if fid == "fig3c" else 0.5
     mu = overrides.get("mu", 0.8)
-    params = SystemParams(3.0, 7.0, 1.6).with_squeeze_db(-6.0)
-    V = covariance_after_pulse(params, PulseSpec(0.5))
-    sigma = sigma_from_cov(V)
-    g = solve_gain(sigma, xi)
-    rows = []
     for n_A in (0.0, 0.1):
         for eta in np.linspace(0.6, 1.0, 9):
-            spec = PipelineSpec(stages=(EpsStage(g, 2, n_A),),
-                                measurement=MeasurementSpec(mu=mu),
-                                eta=float(eta), dark_count=0.98)
-            m = score_state(eps_pipeline(V, spec), sigma11=sigma.s11)
-            rows.append((float(eta) + mu, float(eta), mu, n_A, m.delta,
-                         m.alpha2 if m.alpha2 is not None else float("nan")))
-    return _curve(outdir, fid, ["Gamma", "eta", "mu", "n_A", "delta", "alpha2"],
-                  rows, "quality vs detection efficiency", ["delta", "alpha2"])
+            sigma, _, W = _eps_state({
+                "pulse": {"R": 0.5}, "measurement": {"mu": mu},
+                "stages": [{"xi": 1.0 if fid == "fig3c" else 0.5, "n_A": n_A}],
+                "channel": {"eta": float(eta), "nu": 0.98}})
+            m = score_state(W, sigma11=sigma.s11)
+            yield (float(eta) + mu, float(eta), mu, n_A, m.delta,
+                   m.alpha2 if m.alpha2 is not None else float("nan"))
 
 
 def _fig4b(fid, outdir, overrides):
-    params = SystemParams(3.0, 7.0, 0.0).with_squeeze_db(-6.0)
-    res = four_cat_pipeline(covariance_after_pulse(params, PulseSpec(0.9)), 0.0)
+    res = four_cat_pipeline(_V(0.0, 0.9), 0.0)
     grid = GridSpec()
     field, artifacts = _render(outdir, fid, res["state"], grid, "four-component cat")
     _write_csv(outdir / f"{fid}_PX.csv", ["X_M", "P_X"],
@@ -426,76 +417,73 @@ def _fig4b(fid, outdir, overrides):
     return artifacts + [f"{fid}_PX.csv"]
 
 
-def _figS1c(fid, outdir, overrides):
-    params0 = SystemParams(3.0, 7.0, 0.0).with_squeeze_db(-6.0)
-    V0 = covariance_after_pulse(params0, PulseSpec(0.5))
+def _normalized_correlation_rows(fid, overrides):
+    V0 = _V(0.0, 0.5)
     e0, s0 = logarithmic_negativity(V0), epr_steering_MtoC(V0)
-    rows = []
     for c_om in np.geomspace(0.005, 10.0, 60):
-        gamma = 9.0 / 7.0 / c_om
-        params = SystemParams(3.0, 7.0, gamma).with_squeeze_db(-6.0)
-        V = covariance_after_pulse(params, PulseSpec(0.5))
-        rows.append((float(c_om), logarithmic_negativity(V) / e0,
-                     epr_steering_MtoC(V) / s0))
-    return _curve(outdir, fid, ["C_om", "E_N_normalized", "steering_normalized"],
-                  rows, "normalized correlations vs C_om", ["E_N", "steering"])
+        V = _V(9.0 / 7.0 / c_om, 0.5)
+        yield float(c_om), logarithmic_negativity(V) / e0, epr_steering_MtoC(V) / s0
 
 
-def _figS4(fid, outdir, overrides):
-    params = SystemParams(3.0, 7.0, 0.0).with_squeeze_db(-6.0)
-    sigma = sigma_from_cov(covariance_after_pulse(params, PulseSpec(0.9)))
+def _wavefunction_rows(fid, overrides):
+    sigma = sigma_from_cov(_V(0.0, 0.9))
     psi = four_cat_wavefunction(sigma, 0.0)
     lam = math.sqrt(1.0 / sigma.s11)
     ideal = TargetState.four_cat(1.6).wavefunction()
     # normalized-frame comparison: pipeline psi in y = X/lam units
     xs = np.linspace(-8.0, 8.0, 481)
-    rows = zip(xs.tolist(), (psi(xs * lam) * math.sqrt(lam)).tolist(),
+    return zip(xs.tolist(), (psi(xs * lam) * math.sqrt(lam)).tolist(),
                np.real(ideal(xs)).tolist())
-    return _curve(outdir, fid, ["X_M", "psi_pipeline", "psi_ideal"], rows,
-                  "four-cat wave functions", ["pipeline", "ideal"])
 
 
-def _figS5a(fid, outdir, overrides):
-    params = SystemParams(3.0, 7.0, 1.6).with_squeeze_db(-6.0)
-    rows = []
+def _imperfect_correlation_rows(fid, overrides):
     # the literal noisy-amplifier congruence is not a channel and dips below the
     # uncertainty bound near R = 1; the figure plots it as published
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for tag, eta, n_A in (("loss", 0.9, 0.0), ("ampnoise", 1.0, 0.16)):
             for r in np.linspace(0.02, 0.995, 120):
-                V = covariance_after_pulse(params, PulseSpec(float(r)))
+                V = _V(1.6, float(r))
                 if eta < 1.0:
                     V = loss_channel_cov(V, eta)
                 if n_A > 0:
                     V = amplifier_map(V, 1.0, math.sqrt(1.0 + n_A) - 1.0, strict=False)
-                rows.append((float(r), tag, logarithmic_negativity(V),
-                             epr_steering_MtoC(V)))
-    return _curve(outdir, fid, ["R", "case", "E_N", "steering_MC"], rows,
-                  "correlations with imperfections", ["E_N", "steering"])
+                yield float(r), tag, logarithmic_negativity(V), epr_steering_MtoC(V)
 
 
 _MU_FIGURES = ("fig3c", "fig3d")     # the ids that read figure.mu
-_LOSSY = {"eta": 0.9, "nu": 0.98, "measurement": MeasurementSpec(mu=0.8)}
+_LOSSY = {"channel": {"eta": 0.9, "nu": 0.98}, "measurement": {"mu": 0.8}}
 
 FIGURES = {
-    "fig2a": _correlations(1.6, 160, "entanglement vs R", ["S_in_dB", "E_N", "steering"]),
-    "fig2b": _fig2b,
-    **{f"fig2{c}": _eps_grid(0.9 if c in "cdef" else 0.5, rule)
+    "fig2a": _correlation_figure(1.6, 160, "entanglement vs R",
+                                 ["S_in_dB", "E_N", "steering"]),
+    "fig2b": _curve_figure(_gain_rows, ["R", "g_p_dB", "g_F_dB", "g_x_dB"],
+                           "required gains vs R", ["g_p", "g_F", "g_x"]),
+    **{f"fig2{c}": _eps_map(0.9 if c in "cdef" else 0.5, rule)
        for c, rule in zip("cdefghij", (None, "p", "F", "x") * 2)},
-    **dict.fromkeys(("fig3a", "fig3b"), _fig3_cooperativity),
-    **dict.fromkeys(_MU_FIGURES, _fig3_efficiency),
+    **dict.fromkeys(("fig3a", "fig3b"), _curve_figure(
+        _cooperativity_rows, ["inv_C_om", "F", "delta", "alpha2"],
+        "quality vs 1/C_om", ["F", "delta", "alpha2"])),
+    **dict.fromkeys(_MU_FIGURES, _curve_figure(
+        _efficiency_rows, ["Gamma", "eta", "mu", "n_A", "delta", "alpha2"],
+        "quality vs detection efficiency", ["delta", "alpha2"])),
     "fig4b": _fig4b,
-    **{f"figS1{c}": _correlations(9.0 / 7.0 / c_om, 120, f"correlations at C_om={c_om}",
-                                  ["E_N", "steering"]) for c, c_om in zip("ab", (0.5, 0.1))},
-    "figS1c": _figS1c,
-    **{f"figS2{c}": _eps_grid(0.9, rule) for c, rule in zip("abcd", (None, "x", "F", "p"))},
-    "figS3a": _eps_grid(0.9, g=10 ** 0.288, squeeze_db=-3.0, n_m=0.05),
-    "figS3b": _eps_grid(0.9, g=10 ** 0.566, squeeze_db=-6.0, n_m=0.2),
-    "figS4": _figS4,
-    "figS5a": _figS5a,
-    **{f"figS5{c}": _eps_grid(0.5, rule, **_LOSSY) for c, rule in zip("bcd", "pFx")},
-    **{f"figS6{c}": _eps_grid(0.5, rule, measurement=MeasurementSpec(theta=theta, zeta=1.0))
+    **{f"figS1{c}": _correlation_figure(9.0 / 7.0 / c_om, 120,
+                                        f"correlations at C_om={c_om}", ["E_N", "steering"])
+       for c, c_om in zip("ab", (0.5, 0.1))},
+    "figS1c": _curve_figure(_normalized_correlation_rows,
+                            ["C_om", "E_N_normalized", "steering_normalized"],
+                            "normalized correlations vs C_om", ["E_N", "steering"]),
+    **{f"figS2{c}": _eps_map(0.9, rule) for c, rule in zip("abcd", (None, "x", "F", "p"))},
+    "figS3a": _eps_map(0.9, g=10 ** 0.288, params={"squeeze_db": -3.0, "n_m": 0.05}),
+    "figS3b": _eps_map(0.9, g=10 ** 0.566, params={"n_m": 0.2}),
+    "figS4": _curve_figure(_wavefunction_rows, ["X_M", "psi_pipeline", "psi_ideal"],
+                           "four-cat wave functions", ["pipeline", "ideal"]),
+    "figS5a": _curve_figure(_imperfect_correlation_rows,
+                            ["R", "case", "E_N", "steering_MC"],
+                            "correlations with imperfections", ["E_N", "steering"]),
+    **{f"figS5{c}": _eps_map(0.5, rule, **_LOSSY) for c, rule in zip("bcd", "pFx")},
+    **{f"figS6{c}": _eps_map(0.5, rule, measurement={"theta": theta, "zeta": 1.0})
        for c, rule, theta in zip("abcdef", "pFxpFx", (0.0,) * 3 + (math.pi / 2.0,) * 3)},
 }
 FIGURE_IDS = list(FIGURES)

@@ -141,10 +141,6 @@ class SigmaMatrix:
     @property
     def s24(self): return float(self.entries[1, 3])
 
-    def to_json_dict(self) -> dict:
-        return {"convention": CONVENTION_TAG,
-                "entries": [float(x) for x in self.entries.ravel()]}
-
 
 def _inv_with_condition_report(m: np.ndarray, what: str) -> np.ndarray:
     cond = np.linalg.cond(m)

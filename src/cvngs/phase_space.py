@@ -87,9 +87,9 @@ class MultiPoly:
         out[tuple(map(slice, other.coef.shape))] += other.coef
         return MultiPoly.from_coef(out)
 
-    def __mul__(self, other):
+    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         if not isinstance(other, MultiPoly):
-            return self.scale(float(other))
+            return NotImplemented
         a, b = self.coef, other.coef
         if np.count_nonzero(a) < np.count_nonzero(b):
             a, b = b, a
@@ -97,8 +97,6 @@ class MultiPoly:
         for e in zip(*np.nonzero(b)):
             out[tuple(map(slice, e, np.add(e, a.shape)))] += np.multiply(b[e], a, out=tmp)
         return MultiPoly.from_coef(out)
-
-    __rmul__ = __mul__
 
     def scale(self, s: float) -> "MultiPoly":
         return MultiPoly.from_coef(self.coef * s)

@@ -50,10 +50,6 @@ class EpsStage:
         if self.n_A < 0:
             raise DomainError(f"amplifier noise must be >= 0, got {self.n_A}")
 
-    @classmethod
-    def from_db(cls, g_db: float, n: int = 2, n_A: float = 0.0) -> "EpsStage":
-        return cls(db_to_linear(g_db), n, n_A)
-
     @property
     def g_db(self) -> float:
         return linear_to_db(self.g_A)

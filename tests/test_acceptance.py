@@ -350,7 +350,7 @@ class TestCriterion10Properties:
         assert all(checks.values())
 
     def test_fock1_negativity(self):
-        from tests.test_phase_space import fock1_wigner
+        from test_phase_space import fock1_wigner
         delta = cv.wigner_negativity(fock1_wigner())
         ref = 4.0 * math.exp(-0.5) - 2.0
         report(10, abs(delta - ref) < 1e-6,

@@ -1,7 +1,10 @@
 import json
+import math
+
 import pytest
 
-from cvngs.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, run
+from cvngs import PulseSpec, SystemParams
+from cvngs.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, FIGURE_IDS, main, run
 
 
 def read_json(path):
@@ -51,10 +54,14 @@ class TestValidation:
         {"command": "entanglement-sweep", "sweep": {"r_grid": [0.5, float("-inf")]}},
         {"command": "oracle", "measurement": {"theta": 0.7}},
         {"command": "figures", "figure": {"which": "fig2c", "mu": 0.5}},
+        {"command": "eps", "stages": [{"g_db": 2.0, "xi": 0.5}]},
+        {"command": "eps", "stages": [{"g_db": 2.0, "g_linear": 5.0}]},
+        {"command": "eps", "stages": [{"n": 2}]},
     ], ids=["float-int", "bool-int", "R-exclusive-min", "empty-array", "unknown-command",
             "missing-command", "xmax-eq-xmin", "xmin-past-default-xmax",
             "figure-eta", "out-dir", "nan", "infinity", "minus-infinity-item",
-            "oracle-theta", "figure-mu-unread"])
+            "oracle-theta", "figure-mu-unread", "stage-g-db-and-xi",
+            "stage-g-db-and-g-linear", "stage-without-gain"])
     def test_schema_rejects(self, tmp_path, manifest):
         assert run(manifest, tmp_path) == EXIT_VALIDATION
         assert read_json(tmp_path / "report.json")["error"]["kind"] == "validation"
@@ -78,6 +85,15 @@ class TestGainSolve:
         assert g["g_x_dB"] == pytest.approx(5.8413, abs=1e-3)
         assert g["g_F_dB"] == pytest.approx(5.6493, abs=1e-3)
         assert g["g_p_dB"] == pytest.approx(5.4485, abs=1e-3)
+
+    def test_tau_ns_pulse_matches_its_reflectivity(self, tmp_path):
+        params = SystemParams(3.0, 7.0, 1.6)
+        tau_ns = PulseSpec(0.9).tau_s(params) * 1e9
+        assert run({"command": "gain-solve", "pulse": {"R": 0.9}}, tmp_path / "R") == EXIT_OK
+        assert run({"command": "gain-solve", "pulse": {"tau_ns": tau_ns}},
+                   tmp_path / "tau") == EXIT_OK
+        by_R, by_tau = (read_json(tmp_path / d / "gains.json") for d in ("R", "tau"))
+        assert by_tau == pytest.approx(by_R, rel=1e-9)
 
     def test_report_carries_hash_and_version(self, tmp_path):
         run({"command": "gain-solve"}, tmp_path)
@@ -131,6 +147,19 @@ class TestCommands:
         env = read_json(tmp_path / "state.json")
         assert env["convention"].startswith("XM,PM,XC,PC")
 
+    def test_stage_gain_in_db_or_linear(self, tmp_path):
+        reports = []
+        for i, stage in enumerate(({"g_db": 3.0, "n": 1}, {"g_linear": 10 ** 0.3, "n": 1})):
+            assert run({"command": "eps", "stages": [stage], "grid": {"n": 41}},
+                       tmp_path / str(i)) == EXIT_OK
+            reports.append(read_json(tmp_path / str(i) / "report.json"))
+        for rep in reports:
+            assert rep["stages"] == [{"g_dB": pytest.approx(3.0, abs=1e-12), "n": 1,
+                                      "n_A": 0.0}]
+        for key in ("delta", "parity"):
+            assert reports[0]["metrics"][key] == pytest.approx(reports[1]["metrics"][key],
+                                                               rel=1e-9)
+
     def test_four_cat_command(self, tmp_path):
         rc = run({"command": "four-cat", "params": {"gamma_mhz": 0.0},
                   "four_cat": {"xi1": 0.0}, "grid": {"n": 41},
@@ -158,16 +187,77 @@ class TestCommands:
         assert abs(rep["riemann_mass"] - 1.0) < 1e-3
 
     def test_figures_single(self, tmp_path):
-        rc = run({"command": "figures", "figure": {"which": "fig2b"}}, tmp_path)
+        rc = main(["figures", "--which", "fig2b", "--out", str(tmp_path)])
         assert rc == EXIT_OK
-        assert (tmp_path / "fig2b.csv").exists()
-        assert (tmp_path / "fig2b.gp").exists()
-        assert (tmp_path / "fig2b.manifest.json").exists()
+        rep = read_json(tmp_path / "report.json")
+        assert rep["figures"] == ["fig2b"]
+        assert rep["artifacts"] == ["fig2b.csv", "fig2b.gp", "fig2b.manifest.json"]
+        for name in rep["artifacts"]:
+            assert (tmp_path / name).exists()
 
     def test_figure_grid_artifact(self, tmp_path):
         rc = run({"command": "figures", "figure": {"which": "figS3a"}}, tmp_path)
         assert rc == EXIT_OK
         assert (tmp_path / "figS3a.json").exists()
+
+
+# CSV data rows of each curve figure; every other id is a Wigner map on the
+# default 241 x 241 grid
+CURVE_ROWS = {"fig2a": 320, "fig2b": 120, "fig3a": 18, "fig3b": 18, "fig3c": 18,
+              "fig3d": 18, "figS1a": 240, "figS1b": 240, "figS1c": 60, "figS4": 481,
+              "figS5a": 240}
+CURVE_HEADERS = {
+    **dict.fromkeys(("fig2a", "figS1a", "figS1b"), "R,S_in_dB,E_N,steering_MC"),
+    "fig2b": "R,g_p_dB,g_F_dB,g_x_dB",
+    **dict.fromkeys(("fig3a", "fig3b"), "inv_C_om,F,delta,alpha2"),
+    **dict.fromkeys(("fig3c", "fig3d"), "Gamma,eta,mu,n_A,delta,alpha2"),
+    "figS1c": "C_om,E_N_normalized,steering_normalized",
+    "figS4": "X_M,psi_pipeline,psi_ideal",
+    "figS5a": "R,case,E_N,steering_MC",
+}
+
+
+@pytest.fixture(scope="module")
+def all_figures(tmp_path_factory):
+    """One `figures --which all` run with a non-default fig3c/d homodyne efficiency."""
+    outdir = tmp_path_factory.mktemp("figures")
+    assert run({"command": "figures", "figure": {"mu": 0.9}}, outdir) == EXIT_OK
+    return outdir, read_json(outdir / "report.json")
+
+
+class TestFigureCatalog:
+    def test_report_lists_every_id_and_artifact(self, all_figures):
+        outdir, rep = all_figures
+        assert rep["figures"] == FIGURE_IDS
+        assert rep["fig3_split"] == {"mu": 0.9, "eta": "swept"}
+        assert sorted(p.name for p in outdir.iterdir()) == \
+            sorted(rep["artifacts"] + ["report.json"])
+
+    @pytest.mark.parametrize("fid", FIGURE_IDS)
+    def test_figure_artifacts(self, all_figures, fid):
+        outdir, rep = all_figures
+        assert {f"{fid}.csv", f"{fid}.gp", f"{fid}.manifest.json"} <= set(rep["artifacts"])
+        lines = (outdir / f"{fid}.csv").read_text().splitlines()
+        if fid in CURVE_ROWS:
+            assert (lines[0], len(lines) - 1) == (CURVE_HEADERS[fid], CURVE_ROWS[fid])
+        else:
+            assert (lines[0], len(lines) - 1) == ("X,P,W", 241 ** 2)
+            assert read_json(outdir / f"{fid}.json")["grid"] == \
+                {"xmin": -6.0, "xmax": 6.0, "n": 241}
+        own = read_json(outdir / f"{fid}.manifest.json")["figure"]
+        assert own == ({"which": fid, "mu": 0.9} if fid in ("fig3c", "fig3d")
+                       else {"which": fid})
+
+    @pytest.mark.parametrize("fid", ["fig3c", "fig3d"])
+    def test_efficiency_rows_carry_the_given_mu(self, all_figures, fid):
+        lines = (all_figures[0] / f"{fid}.csv").read_text().splitlines()[1:]
+        for line in lines:
+            gamma, eta, mu = map(float, line.split(",")[:3])
+            assert mu == 0.9 and math.isclose(gamma, eta + 0.9)
+
+    def test_four_cat_marginal(self, all_figures):
+        lines = (all_figures[0] / "fig4b_PX.csv").read_text().splitlines()
+        assert (lines[0], len(lines) - 1) == ("X_M,P_X", 241)
 
 
 class TestMainEntry:

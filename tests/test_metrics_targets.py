@@ -11,7 +11,7 @@ from cvngs import (EpsStage, GridSpec, MeasurementSpec, PipelineSpec,
                    sigma_from_cov, solve_gain, squeezing_estimate)
 from cvngs.exceptions import ContractError, DomainError
 from cvngs.metrics_targets import _cat_cost_fn, _lobes, _marginals
-from tests.test_phase_space import fock1_wigner
+from test_phase_space import fock1_wigner
 
 
 def pipeline_state(xi, R=0.9, gamma=0.0, n=2, db=-6.0, n_m=0.0, g=None, n_A=0.0,

@@ -32,6 +32,15 @@ class TestMultiPoly:
         q = (x + p) * (x + p.scale(-1.0))
         assert q.terms == {(2, 0): 1.0, (0, 2): -1.0}
 
+    @pytest.mark.parametrize("scalar", [2.0, 2, np.float64(2.0)])
+    def test_product_takes_polynomials_only(self, scalar):
+        # scale() is the one scalar product
+        x = MultiPoly.variable(2, 0)
+        with pytest.raises(TypeError):
+            x * scalar
+        with pytest.raises(TypeError):
+            scalar * x
+
     def test_degree_and_diff(self):
         x = MultiPoly.variable(3, 0)
         q = x * x * MultiPoly.variable(3, 2)
