@@ -184,9 +184,12 @@ def _write_json(path: Path, obj) -> None:
 
 def _write_wigner(outdir: Path, name: str, field: np.ndarray, grid: GridSpec,
                   report: dict) -> list[str]:
-    X, P = np.meshgrid(grid.axis, grid.axis, indexing="ij")
-    _write_csv(outdir / f"{name}.csv", ["X", "P", "W"],
-               np.stack([X.ravel(), P.ravel(), field.ravel()], axis=1).tolist())
+    """A map's X,P,W CSV (X outer) and grid JSON.  The axis is formatted once, with
+    %.12g, into the rows' x_i,p_j,%.12g template; one % fills in the field."""
+    axis = ["%.12g" % a for a in grid.axis.tolist()]
+    tail = [f",{p},%.12g\n" for p in axis]
+    body = "".join(x + x.join(tail) for x in axis) % tuple(field.ravel().tolist())
+    (outdir / f"{name}.csv").write_text("X,P,W\n" + body)
     _write_json(outdir / f"{name}.json",
                 {"grid": {"xmin": grid.xmin, "xmax": grid.xmax, "n": grid.n},
                  "convention": CONVENTION_TAG, "normalization": report})
@@ -222,12 +225,10 @@ def _golden_check(outdir: Path, artifacts: list[str]) -> dict | None:
     golden = os.environ.get("CVNGS_GOLDEN_DIR")
     if not golden:
         return None
-    res = {}
-    for name in artifacts:
-        ref = Path(golden) / name
-        res[name] = ("missing" if not ref.exists() else "equal"
-                     if ref.read_bytes() == (outdir / name).read_bytes() else "different")
-    return res
+    refs = {name: Path(golden) / name for name in artifacts}
+    return {name: "missing" if not ref.exists() else "equal"
+            if ref.read_bytes() == (outdir / name).read_bytes() else "different"
+            for name, ref in refs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +517,7 @@ _DISPATCH = {c: globals()["cmd_" + c.replace("-", "_")] for c in COMMANDS}
 
 def run(manifest: dict, outdir: Path) -> int:
     """Validate and execute a manifest; always writes report.json when possible."""
-    report = {"tool": "cvngs", "version": __version__,
-              "convention": CONVENTION_TAG}
+    report = {"tool": "cvngs", "version": __version__, "convention": CONVENTION_TAG}
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         manifest = validate_manifest(manifest)

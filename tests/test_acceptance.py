@@ -3,8 +3,8 @@
 Each test prints a `[criterion N] PASS/FAIL` line with the measured values
 (run with `pytest -s tests/test_acceptance.py` to see them all).  Criteria
 whose reference values are not reproducible from the defining equations fail
-here by design; the root-cause analysis lives in the decisions ledger outside
-the package.
+here by design; the root-cause analysis is in ROADMAP.md, section "Baseline at
+this re-anchor".
 """
 
 import math
@@ -126,7 +126,7 @@ class TestCriterion4GainValues:
         checks = {k: abs(got[k] - want[k]) <= 0.05 for k in want}
         ok = report(4, all(checks.values()),
                     "computed {g_x:.3f}/{g_F:.3f}/{g_p:.3f} dB vs reference "
-                    "5.90/5.76/5.62 +-0.05 (see ledger: the reference triple "
+                    "5.90/5.76/5.62 +-0.05 (see ROADMAP.md baseline: the reference triple "
                     "corresponds to gamma=g in the covariance)".format(**got))
         assert ok, got
 
@@ -158,7 +158,7 @@ class TestCriterion5IdealStates:
 
         ok = report(5, all(checks.values()),
                     "; ".join(details) + "  [purity bound caps these below the "
-                    "reference values at C_om=0.8; see ledger]")
+                    "reference values at C_om=0.8; see ROADMAP.md baseline]")
         assert ok, checks
 
 
@@ -267,7 +267,7 @@ class TestCriterion8ImperfectOutcome:
         f, _ = best_cat_fidelity(W, "p")
         ok = abs(f - 0.9) <= 0.03
         report(8, ok, f"zeta=1 P-cat fidelity F={f:.3f} (ref 0.9+-0.03; "
-                      "purity-bounded at C_om=0.8, see ledger)")
+                      "purity-bounded at C_om=0.8, see ROADMAP.md baseline)")
         assert ok
 
 

@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cvngs import PulseSpec, SystemParams
-from cvngs.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, FIGURE_IDS, main, run
+import cvngs
+from cvngs import GridSpec, PulseSpec, SystemParams
+from cvngs.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, FIGURE_IDS,
+                       _write_csv, _write_wigner, main, run)
 
 
 def read_json(path):
@@ -57,15 +64,26 @@ class TestValidation:
         {"command": "eps", "stages": [{"g_db": 2.0, "xi": 0.5}]},
         {"command": "eps", "stages": [{"g_db": 2.0, "g_linear": 5.0}]},
         {"command": "eps", "stages": [{"n": 2}]},
+        {"command": "eps", "stages": [{"g_db": 4000.0}]},
+        {"command": "eps", "stages": [{"g_linear": 1e300}]},
+        {"command": "eps", "stages": [{"g_db": -4000.0}]},
+        {"command": "eps", "stages": [{"g_linear": 1e-300}]},
     ], ids=["float-int", "bool-int", "R-exclusive-min", "empty-array", "unknown-command",
             "missing-command", "xmax-eq-xmin", "xmin-past-default-xmax",
             "figure-eta", "out-dir", "nan", "infinity", "minus-infinity-item",
             "oracle-theta", "figure-mu-unread", "stage-g-db-and-xi",
-            "stage-g-db-and-g-linear", "stage-without-gain"])
+            "stage-g-db-and-g-linear", "stage-without-gain", "stage-g-db-overflow",
+            "stage-g-linear-huge", "stage-g-db-underflow", "stage-g-linear-tiny"])
     def test_schema_rejects(self, tmp_path, manifest):
         assert run(manifest, tmp_path) == EXIT_VALIDATION
         assert read_json(tmp_path / "report.json")["error"]["kind"] == "validation"
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    @pytest.mark.parametrize("stage", [{"g_db": 60.0}, {"g_db": -60.0},
+                                       {"g_linear": 1e6}, {"g_linear": 1e-6}])
+    def test_stage_gain_bounds_accepted(self, tmp_path, stage):
+        assert run({"command": "eps", "stages": [stage], "grid": {"n": 21}},
+                   tmp_path) == EXIT_OK
 
 
 class TestNumericalErrors:
@@ -199,6 +217,41 @@ class TestCommands:
         rc = run({"command": "figures", "figure": {"which": "figS3a"}}, tmp_path)
         assert rc == EXIT_OK
         assert (tmp_path / "figS3a.json").exists()
+
+
+def reference_wigner_csv(path, field, grid):
+    """The map CSV as stacked X, P, W rows through _write_csv."""
+    X, P = np.meshgrid(grid.axis, grid.axis, indexing="ij")
+    _write_csv(path, ["X", "P", "W"],
+               np.stack([X.ravel(), P.ravel(), field.ravel()], axis=1).tolist())
+
+
+class TestWignerWriter:
+    SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 0.1 + 0.2, 1.0 / math.pi,
+               -1.0 / math.pi, math.nextafter(1.0 / math.pi, 1.0),
+               math.nextafter(-1.0 / math.pi, -1.0), 1e300, 123456789012.5]
+
+    # the default axis, an odd one, and one holding 0.0 exactly (linspace(-2, 2, 9))
+    @pytest.mark.parametrize("grid", [GridSpec(), GridSpec(-3.0, 2.5, 7),
+                                      GridSpec(-2.0, 2.0, 9)],
+                             ids=["default", "odd", "axis-with-zero"])
+    def test_bytes_match_stacked_rows(self, tmp_path, grid):
+        field = np.random.default_rng(7).normal(scale=1.0 / math.pi, size=(grid.n, grid.n))
+        field.flat[:len(self.SPECIAL)] = self.SPECIAL
+        field.flat[-len(self.SPECIAL):] = self.SPECIAL
+        assert _write_wigner(tmp_path, "m", field, grid, {}) == ["m.csv", "m.json"]
+        reference_wigner_csv(tmp_path / "ref.csv", field, grid)
+        assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the metric layer imports minimize lazily; loading it costs every workload's setup
+    src = str(Path(cvngs.__file__).resolve().parents[1])
+    code = ("import sys, cvngs, cvngs.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"
 
 
 # CSV data rows of each curve figure; every other id is a Wigner map on the

@@ -23,7 +23,7 @@ def pulsed(R=0.9, db=-6.0, gamma=1.6, n_m=0.0):
 class TestSolveGain:
     def test_fig2_point_gains(self):
         # implementation values at R=0.9, -6 dB, C_om=0.8 (the reference set
-        # quotes 5.90/5.76/5.62; see the decisions ledger)
+        # quotes 5.90/5.76/5.62; see ROADMAP.md, "Baseline at this re-anchor")
         sig = sigma_from_cov(pulsed())
         assert linear_to_db(solve_gain(sig, 0.0)) == pytest.approx(5.8413, abs=2e-4)
         assert linear_to_db(solve_gain(sig, 0.5)) == pytest.approx(5.6493, abs=2e-4)
