@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .exceptions import CvngsError, DomainError
-from .fock_oracle import run_eps_oracle, wigner_from_density
+from .fock_oracle import DEFAULT_TRUNCATION, run_eps_oracle, wigner_from_density
 from .gaussian_core import (CONVENTION_TAG, SigmaMatrix, amplifier_map,
                             epr_steering_MtoC, logarithmic_negativity,
                             loss_channel_cov, loss_channel_sigma, sigma_from_cov)
@@ -42,6 +42,7 @@ EXIT_NUMERICAL = 3
 
 _SCHEMA = json.loads((Path(__file__).parent / "manifest.schema.json").read_text())
 COMMANDS = tuple(_SCHEMA["properties"]["command"]["enum"])
+_G_LINEAR = _SCHEMA["properties"]["stages"]["items"]["properties"]["g_linear"]
 
 # xi of the P-cat, Fock and X-cat gain rules
 _XI = {"p": 1.0, "F": 0.5, "x": 0.0}
@@ -108,6 +109,8 @@ def validate_manifest(manifest: dict) -> dict:
         raise ManifestError("grid: xmax must exceed xmin")
     if manifest["command"] == "oracle" and manifest.get("measurement", {}).get("theta", 0.0):
         raise ManifestError("measurement.theta: the Fock oracle runs at theta = 0 only")
+    if manifest["command"] == "oracle" and any(st.get("n_A") for st in manifest.get("stages", ())):
+        raise ManifestError("stages.n_A: the Fock oracle runs at n_A = 0 only")
     fig = manifest.get("figure", {})
     if "mu" in fig and fig.get("which", "all") not in ("all", *_MU_FIGURES):
         raise ManifestError(f"figure.mu: read by fig3c/d only, not by {fig['which']}")
@@ -149,14 +152,14 @@ def _stages_of(manifest, sigma) -> tuple[EpsStage, ...]:
             g = st["g_linear"]
         else:
             g = solve_gain(sigma, st["xi"])
+            if not _G_LINEAR["minimum"] <= g <= _G_LINEAR["maximum"]:
+                raise DomainError(f"solved gain {g:.3e} lies outside the g_linear range")
         out.append(EpsStage(g, st.get("n", 2), st.get("n_A", 0.0)))
     return tuple(out)
 
 
 def _measurement_of(manifest) -> MeasurementSpec:
-    m = manifest.get("measurement", {})
-    return MeasurementSpec(theta=m.get("theta", 0.0), zeta=m.get("zeta", 0.0),
-                           eps=m.get("eps", 0.1), mu=m.get("mu", 1.0))
+    return MeasurementSpec(**manifest.get("measurement", {}))
 
 
 def _pipeline_of(manifest, sigma) -> PipelineSpec:
@@ -292,8 +295,9 @@ def cmd_imperfections(manifest, outdir):
     sigma, spec, W = _eps_state(manifest)
     grid = _grid_of(manifest)
     stages, meas = spec.stages, spec.measurement
-    if len(stages) != 1 or stages[0].n != 2:
-        raise DomainError("the closed form covers a single 2-photon stage")
+    if (len(stages) != 1 or stages[0].n != 2 or stages[0].n_A or spec.dark_count < 1.0
+            or meas.theta or meas.zeta):
+        raise DomainError("the closed form covers one 2-photon stage with eta, eps and mu only")
 
     num_field, artifacts = _render(outdir, "numeric", W, grid, "numeric pipeline")
 
@@ -319,7 +323,7 @@ def cmd_oracle(manifest, outdir):
     if len(spec.stages) != 1:
         raise DomainError("the Fock oracle runs single-stage pipelines")
     stage, meas = spec.stages[0], spec.measurement
-    trunc = manifest.get("oracle", {}).get("truncation", 40)
+    trunc = manifest.get("oracle", {}).get("truncation", DEFAULT_TRUNCATION)
     st = run_eps_oracle(params, pulse, stage.g_A, stage.n,
                         eta=spec.eta, mu=meas.mu, nu=spec.dark_count,
                         eps=meas.eps, zeta=meas.zeta, truncation=trunc)
@@ -525,7 +529,7 @@ def run(manifest: dict, outdir: Path) -> int:
         report["manifest_sha256"] = hashlib.sha256(
             json.dumps(manifest, sort_keys=True).encode()).hexdigest()
         extras, artifacts = _DISPATCH[manifest["command"]](manifest, outdir)
-    except (ManifestError, CvngsError) as exc:
+    except (ManifestError, CvngsError, np.linalg.LinAlgError) as exc:
         if isinstance(exc, ManifestError):
             report["error"] = {"kind": "validation", "message": str(exc)}
             code, what = EXIT_VALIDATION, "manifest validation failed"

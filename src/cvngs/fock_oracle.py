@@ -22,11 +22,12 @@ from scipy.special import gammaln
 
 from .exceptions import DomainError, TruncationError, ZeroWeightError
 from .gaussian_core import CovMatrix
-from .phase_space import GridSpec
+from .phase_space import GridSpec, _hermite_functions
 from .pulse_dynamics import PulseSpec, SystemParams
 
 DEFAULT_TRUNCATION = 40
 EDGE_POP_TOL = 1e-6
+MAX_LATTICE = 4096     # lattice points of wigner_from_density: its G stays <= 134 MB
 
 
 def _annihilation(dim: int) -> np.ndarray:
@@ -56,33 +57,18 @@ def _bs_sectors(dim: int, R: float, kmax: int):
         yield n_tot, ks, expm(-theta * (G - G.T))
 
 
-def _hermite_functions(xs: np.ndarray, nmax: int) -> np.ndarray:
-    """Orthonormal oscillator eigenfunctions psi_n(x), vacuum variance 1/2."""
-    out = np.zeros((nmax + 1, len(xs)))
-    out[0] = math.pi ** -0.25 * np.exp(-xs ** 2 / 2.0)
-    if nmax >= 1:
-        out[1] = math.sqrt(2.0) * xs * out[0]
-    for n in range(2, nmax + 1):
-        out[n] = (math.sqrt(2.0 / n) * xs * out[n - 1]
-                  - math.sqrt((n - 1.0) / n) * out[n - 2])
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class FockState:
     """Truncated state over one or two modes as a square-root factor of its
     density matrix, rho = A A^dagger: `amps` A has shape (d, d, r) over
     (m, c, column) for two modes and (d, r) for one, d = N + 1."""
 
-    truncation: int
-    n_modes: int
     amps: np.ndarray = field(kw_only=True, repr=False)
 
     def __post_init__(self):
         amps = np.asarray(self.amps)
-        if amps.ndim != self.n_modes + 1 or amps.shape[:-1] != (self.dim,) * self.n_modes:
-            raise DomainError(f"factor has shape {amps.shape}, expected "
-                              f"{(self.dim,) * self.n_modes} + (r,)")
+        if amps.ndim not in (2, 3) or amps.shape[:-1] != amps.shape[:1] * (amps.ndim - 1):
+            raise DomainError(f"factor has shape {amps.shape}, expected (d, r) or (d, d, r)")
         object.__setattr__(self, "amps", amps)
 
     @classmethod
@@ -100,12 +86,19 @@ class FockState:
             raise DomainError(f"density matrix is not positive (eigenvalue {lam[0]:.3e})")
         keep = lam > 0
         amps = U[:, keep] * np.sqrt(lam[keep])
-        return cls(truncation, n_modes,
-                   amps=amps.reshape((truncation + 1,) * n_modes + (-1,)))
+        return cls(amps=amps.reshape((truncation + 1,) * n_modes + (-1,)))
 
     @property
     def dim(self) -> int:
-        return self.truncation + 1
+        return self.amps.shape[0]
+
+    @property
+    def truncation(self) -> int:
+        return self.dim - 1
+
+    @property
+    def n_modes(self) -> int:
+        return self.amps.ndim - 1
 
     def density(self) -> np.ndarray:
         A = self.amps.reshape(self.dim ** self.n_modes, -1)
@@ -118,11 +111,10 @@ class FockState:
         tr = self.trace()
         if tr <= 0:
             raise ZeroWeightError("state has non-positive trace")
-        return FockState(self.truncation, self.n_modes, amps=self.amps / math.sqrt(tr))
+        return FockState(amps=self.amps / math.sqrt(tr))
 
     def check_edge_population(self):
-        edge = (self.amps[-1],) if self.n_modes == 1 else (self.amps[-1], self.amps[:, -1])
-        pop = sum(float(np.vdot(e, e).real) for e in edge)
+        pop = sum(float(np.vdot(e, e).real) for e in (self.amps[-1], self.amps[:, -1]))
         tr = max(self.trace(), 1e-300)
         if pop / tr > EDGE_POP_TOL:
             raise TruncationError(
@@ -130,9 +122,7 @@ class FockState:
                 suggested=2 * self.truncation)
 
     def reduced_mechanical(self) -> "FockState":
-        if self.n_modes == 1:
-            return self
-        return FockState(self.truncation, 1, amps=self.amps.reshape(self.dim, -1))
+        return FockState(amps=self.amps.reshape(self.dim, -1))
 
     def mean_photons(self) -> float:
         """<n> of a single-mode state (normalized)."""
@@ -184,7 +174,7 @@ def build_entangled_state(params: SystemParams, pulse: PulseSpec,
         cs, cols = n_tot - ks, ks < r
         psi[np.ix_(ks * d + cs, ks[cols])] = (((-1.0) ** cs)[:, None] * block[:, cols]
                                               * sq[cs[cols]])
-    st = FockState(truncation, 2, amps=(psi * np.sqrt(p[:r])).reshape(d, d, r))
+    st = FockState(amps=(psi * np.sqrt(p[:r])).reshape(d, d, r))
     st.check_edge_population()
     return st
 
@@ -251,7 +241,7 @@ def apply_amplifier(state: FockState, g_quad: float, n_quad: float = 0.0) -> Foc
         raise DomainError("oracle amplifier supports n_A = 0 only "
                           "(the noisy map is not completely positive)")
     S = _squeeze_unitary(state.dim, -math.log(g_quad))
-    out = FockState(state.truncation, 2, amps=_on_c(S, state.amps))
+    out = FockState(amps=_on_c(S, state.amps))
     out.check_edge_population()
     return out
 
@@ -263,7 +253,7 @@ def apply_annihilate_C(state: FockState) -> FockState:
     A = state.amps
     out = np.zeros_like(A)
     out[:, :-1] = A[:, 1:] * np.sqrt(np.arange(1.0, state.dim))[:, None]
-    out = FockState(state.truncation, 2, amps=out)
+    out = FockState(amps=out)
     if out.trace() <= 1e-14:
         raise ZeroWeightError("subtraction annihilated the state (optical vacuum)")
     return out
@@ -290,7 +280,7 @@ def apply_loss(state: FockState, eta: float) -> FockState:
     out = np.zeros((d, d, d, A.shape[-1]), A.dtype)     # (m, c, k, column)
     for k in range(d):
         out[:, :d - k, k] = a[k, :d - k, None] * A[:, k:]
-    return FockState(state.truncation, 2, amps=out.reshape(d, d, -1))
+    return FockState(amps=out.reshape(d, d, -1))
 
 
 def _loss_adjoint(Pi: np.ndarray, eta: float) -> np.ndarray:
@@ -357,9 +347,12 @@ def wigner_from_density(state: FockState, grid: GridSpec = GridSpec()) -> np.nda
     band = math.sqrt(2.0 * d + 1.0) + max(abs(grid.xmin), abs(grid.xmax))
     q = math.ceil(4.0 * grid.step * band / math.pi)
     dy = 2.0 * grid.step / q
-    K = math.ceil(2.0 * (math.sqrt(2.0 * d + 1.0) + 4.0) / dy)
+    K = math.ceil(min(2.0 * (math.sqrt(2.0 * d + 1.0) + 4.0) / dy, MAX_LATTICE))
+    L = q * (grid.n - 1) + 2 * K + 1        # the u lattice, long for a wide or a fine grid
+    if L > MAX_LATTICE:
+        raise DomainError(f"{grid} needs a {L}-point lattice, above {MAX_LATTICE}")
     k = np.arange(-K, K + 1)
-    u = grid.xmin + (np.arange(q * (grid.n - 1) + 2 * K + 1) - K) * (dy / 2.0)
+    u = grid.xmin + (np.arange(L) - K) * (dy / 2.0)
     psi = _hermite_functions(u, d - 1)
     G = psi.T @ rho @ psi                       # <u_a|rho|u_b>
     j = q * np.arange(grid.n)[:, None] + K
@@ -391,5 +384,5 @@ def run_eps_oracle(params: SystemParams, pulse: PulseSpec, g_A_var: float,
         amps = np.concatenate(
             [math.sqrt(nu / heralded.trace()) * heralded.amps,
              math.sqrt((1.0 - nu) / unheralded.trace()) * unheralded.amps], axis=-1)
-        heralded = FockState(st.truncation, 2, amps=amps)
+        heralded = FockState(amps=amps)
     return apply_homodyne_window(heralded, zeta, eps, mu).normalized()

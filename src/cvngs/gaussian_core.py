@@ -91,19 +91,6 @@ class CovMatrix:
         ev = np.linalg.eigvalsh(0.5 * (K + K.conj().T))
         return np.sort(ev[ev > 0.0])
 
-    def is_physical(self, tol: float = PHYS_TOL) -> bool:
-        return bool(self.symplectic_eigenvalues().min() >= 0.5 - tol)
-
-    def to_json_dict(self) -> dict:
-        return {"convention": CONVENTION_TAG,
-                "entries": [float(x) for x in self.entries.ravel()]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CovMatrix":
-        if d.get("convention") != CONVENTION_TAG:
-            raise DomainError(f"unknown matrix convention {d.get('convention')!r}")
-        return cls(np.array(d["entries"], dtype=float).reshape(4, 4))
-
 
 @dataclass(frozen=True, eq=False)
 class SigmaMatrix:
@@ -169,11 +156,11 @@ def initial_covariance(n_m: float, squeeze: SqueezeSpec | float) -> CovMatrix:
     return CovMatrix(0.5 * np.diag([occ, occ, s, 1.0 / s]))
 
 
-def check_physical(V: CovMatrix, tol: float = PHYS_TOL) -> tuple[bool, float]:
+def check_physical(V: CovMatrix) -> tuple[bool, float]:
     """Uncertainty-relation guard: returns (physical?, minimal symplectic eigenvalue)."""
     nu = V.symplectic_eigenvalues()
     nu_min = float(nu.min())
-    return nu_min >= 0.5 - tol, nu_min
+    return nu_min >= 0.5 - PHYS_TOL, nu_min
 
 
 def apply_symplectic(V: CovMatrix, U: np.ndarray) -> CovMatrix:
@@ -246,11 +233,11 @@ def epr_steering_MtoC(V: CovMatrix) -> float:
     return float(max(0.0, 0.5 * np.log(det_m / (4.0 * det_v))))
 
 
-def require_xp_decoupled(sigma: SigmaMatrix, what: str, tol: float = 1e-10):
+def require_xp_decoupled(sigma: SigmaMatrix, what: str):
     """The six-element closed forms assume no X-P cross correlations."""
     m = sigma.entries
     off = max(abs(m[0, 1]), abs(m[0, 3]), abs(m[1, 2]), abs(m[2, 3]))
-    if off > tol * max(np.abs(m).max(), 1.0):
+    if off > 1e-10 * max(np.abs(m).max(), 1.0):
         raise DomainError(
             f"{what} requires an X/P-decoupled sigma matrix "
             f"(max cross element {off:.2e})")

@@ -17,12 +17,13 @@ from itertools import product
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .exceptions import ContractError, DomainError
-from .phase_space import (GridSpec, MultiPoly, PolyGaussian, _expect,
-                          _gauss_density, marginal, normalize, overlap_terms,
-                          translate, wigner_negativity)
+from .exceptions import ContractError, DomainError, NumericalDomainError
+from .phase_space import (MultiPoly, PolyGaussian, _expect, _gauss_density,
+                          _hermite_functions, marginal, normalize,
+                          overlap_terms, translate, wigner_negativity)
 
 SQRT2 = math.sqrt(2.0)
+CAT_NORM_MIN = 1e-6    # least 1 + parity e^(-2 alpha^2): below, an odd cat's terms cancel
 _ONE = MultiPoly.constant(2)
 
 
@@ -65,7 +66,7 @@ def _fock_terms(n: int, lam: float) -> tuple:
         for j in range(k + 1):
             coef[2 * j, 2 * (k - j)] = ck * math.comb(k, j) * lam ** (2 * (k - 2 * j))
     return ((np.ones(1), np.zeros((1, 2)), np.diag([lam * lam, 1.0 / (lam * lam)]) / 2.0,
-             MultiPoly.from_coef(coef)),)
+             MultiPoly(coef)),)
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,8 @@ class TargetState:
             raise DomainError(f"parity must be +-1, got {parity}")
         if axis not in ("x", "p"):
             raise DomainError(f"axis must be 'x' or 'p', got {axis}")
+        if 1.0 + parity * math.exp(-2.0 * alpha * alpha) < CAT_NORM_MIN:
+            raise DomainError(f"odd cat at alpha = {alpha} has a vanishing norm")
         return cls("cat", {"alpha": float(alpha), "parity": int(parity),
                            "lobe_var": float(lobe_var), "axis": axis})
 
@@ -142,18 +145,8 @@ class TargetState:
         if self.kind != "fock":
             return _coherent_superposition_psi(*self._superposition())
         n, lam = self.params["n"], 10.0 ** (self.params["squeeze_db"] / 20.0)
-        from numpy.polynomial.hermite import hermval
-        cvec = [0.0] * n + [1.0]
-
-        def psi(x):
-            y = np.asarray(x, dtype=float) / lam
-            raw = hermval(y, cvec) * np.exp(-y * y / 2.0)
-            nrm = math.sqrt(math.sqrt(math.pi) * lam * (2.0 ** n) * math.factorial(n))
-            return raw / nrm
-        return psi
-
-    def wigner_grid(self, grid: GridSpec = GridSpec()) -> np.ndarray:
-        return self.wigner()(*np.meshgrid(grid.axis, grid.axis, indexing="ij"))
+        return lambda x: (_hermite_functions(np.asarray(x, dtype=float) / lam, n)[n]
+                          / math.sqrt(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +160,8 @@ def _require_normalized(W: PolyGaussian) -> None:
 
 def _clipped_overlap(W: PolyGaussian, target: TargetState) -> float:
     f = overlap_terms(W, target.terms)
+    if not math.isfinite(f):
+        raise NumericalDomainError(f"fidelity overlap is {f}")
     clipped = min(max(f, 0.0), 1.0)
     if abs(f - clipped) > 1e-9:
         warnings.warn(f"fidelity clipped by {abs(f - clipped):.3e}", RuntimeWarning, stacklevel=3)
@@ -296,6 +291,8 @@ def _fit_and_squeezing(W: PolyGaussian, n: int | None = None,
     found = [(*lobes, a, *mg) for a, mg in zip("xp", margs) if (lobes := _lobes(*mg))]
     fit = _refine(*min(found, key=lambda f: f[0])) if found else None
     vx, vp = (_variance(*mg) for mg in margs)
+    if not min(vx, vp) > 0:
+        raise NumericalDomainError(f"quadrature variances {vx:.3e}, {vp:.3e} are not positive")
     out = {"min_var_db": 10.0 * math.log10(2.0 * min(vx, vp)),
            "var_x": vx, "var_p": vp, "method": "min_var"}
     if n is not None:
@@ -321,8 +318,7 @@ def squeezing_estimate(W: PolyGaussian, n: int | None = None,
     return _fit_and_squeezing(W, n, sigma11)[0]
 
 
-def best_cat_fidelity(W: PolyGaussian, axis: str, parity: int = 1,
-                      seed: tuple[float, float] | None = None) -> tuple[float, tuple]:
+def best_cat_fidelity(W: PolyGaussian, axis: str, parity: int = 1) -> tuple[float, tuple]:
     """Fidelity against the best-fitting squeezed cat on the given axis.
 
     Displaced states are recentred first; returns (F, (alpha2, lobe_var))."""
@@ -332,10 +328,8 @@ def best_cat_fidelity(W: PolyGaussian, axis: str, parity: int = 1,
     if np.abs(W.mean).max() > 1e-9:
         Wc = normalize(translate(W, -W.mean))
     _require_normalized(Wc)
-    if seed is None:
-        fit = cat_fit(Wc)
-        seed = (fit.alpha2, fit.lobe_var) if fit is not None and fit.axis == axis \
-            else (2.0, 0.5)
+    fit = cat_fit(Wc)
+    seed = (fit.alpha2, fit.lobe_var) if fit is not None and fit.axis == axis else (2.0, 0.5)
 
     def neg_f(q):
         a2, v = q

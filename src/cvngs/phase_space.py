@@ -26,7 +26,8 @@ from scipy.linalg import lu
 from scipy.special import ndtr
 
 from .exceptions import ContractError, DomainError
-from .gaussian_core import CovMatrix, SigmaMatrix, amplifier_block
+from .gaussian_core import (CovMatrix, SigmaMatrix, amplifier_block,
+                            check_physical, require_xp_decoupled)
 
 # axis indices in the joint ordering
 XM, PM, XC, PC = 0, 1, 2, 3
@@ -38,34 +39,20 @@ def _along(axis: int, index) -> tuple:
 
 
 class MultiPoly:
-    """Real polynomial in nvars variables: coef[e] multiplies prod_i u_i^e_i."""
+    """Real polynomial on a dense tensor (not copied): coef[e] multiplies prod_i u_i^e_i."""
 
     __slots__ = ("coef",)
 
-    def __init__(self, nvars: int, terms: dict | None = None):
-        terms = terms or {}
-        for e in terms:
-            if len(e) != nvars:
-                raise DomainError(f"exponent {e} has wrong arity for nvars={nvars}")
-        coef = np.zeros(np.max([(0,) * nvars, *terms], axis=0) + 1)
-        for e, c in terms.items():
-            coef[tuple(e)] = c
-        self.coef = coef
-
-    @classmethod
-    def from_coef(cls, coef) -> "MultiPoly":
-        """The polynomial with coefficient tensor `coef` (not copied)."""
-        out = cls.__new__(cls)
-        out.coef = np.asarray(coef, dtype=float)
-        return out
+    def __init__(self, coef):
+        self.coef = np.asarray(coef, dtype=float)
 
     @classmethod
     def constant(cls, nvars: int, value: float = 1.0) -> "MultiPoly":
-        return cls.from_coef(np.full((1,) * nvars, float(value)))
+        return cls(np.full((1,) * nvars, float(value)))
 
     @classmethod
-    def variable(cls, nvars: int, i: int, coeff: float = 1.0) -> "MultiPoly":
-        return _linear(0.0, np.eye(nvars)[i] * coeff)
+    def variable(cls, nvars: int, i: int) -> "MultiPoly":
+        return _linear(0.0, np.eye(nvars)[i])
 
     @property
     def nvars(self) -> int:
@@ -85,7 +72,7 @@ class MultiPoly:
         out = np.zeros(np.maximum(self.coef.shape, other.coef.shape))
         out[tuple(map(slice, self.coef.shape))] = self.coef
         out[tuple(map(slice, other.coef.shape))] += other.coef
-        return MultiPoly.from_coef(out)
+        return MultiPoly(out)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         if not isinstance(other, MultiPoly):
@@ -96,17 +83,17 @@ class MultiPoly:
         out, tmp = np.zeros(np.add(a.shape, b.shape) - 1), np.empty_like(a)
         for e in zip(*np.nonzero(b)):
             out[tuple(map(slice, e, np.add(e, a.shape)))] += np.multiply(b[e], a, out=tmp)
-        return MultiPoly.from_coef(out)
+        return MultiPoly(out)
 
     def scale(self, s: float) -> "MultiPoly":
-        return MultiPoly.from_coef(self.coef * s)
+        return MultiPoly(self.coef * s)
 
     def diff(self, i: int) -> "MultiPoly":
         k = self.coef.shape[i]
         if k == 1:
             return MultiPoly.constant(self.nvars, 0.0)
         ramp = np.arange(1, k).reshape([-1] + [1] * (self.nvars - i - 1))
-        return MultiPoly.from_coef(self.coef[_along(i, slice(1, None))] * ramp)
+        return MultiPoly(self.coef[_along(i, slice(1, None))] * ramp)
 
     def substitute_linear(self, A: np.ndarray, b: np.ndarray | None = None) -> "MultiPoly":
         """p(u) -> p(A u + b).  A = perm L U (scipy.linalg.lu): permute the axes,
@@ -120,7 +107,7 @@ class MultiPoly:
             coef = _compose_axis(coef, i, b[i], 1.0, np.r_[L[i, :i], np.zeros(n - i)])
         for i in reversed(range(n)):
             coef = _compose_axis(coef, i, 0.0, U[i, i], np.r_[np.zeros(i + 1), U[i, i + 1:]])
-        return MultiPoly.from_coef(coef)
+        return MultiPoly(coef)
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on pts of shape (N, nvars), Horner along each axis."""
@@ -130,9 +117,6 @@ class MultiPoly:
             out = P.polyval(pts[:, k], out, tensor=False)
         return out
 
-    def max_abs_coeff_diff(self, other: "MultiPoly") -> float:
-        return float(np.abs((self + other.scale(-1.0)).coef).max())
-
 
 def _linear(const: float, w) -> MultiPoly:
     """The linear form const + sum_j w_j u_j."""
@@ -140,7 +124,7 @@ def _linear(const: float, w) -> MultiPoly:
     coef.flat[0] = const
     for j in np.flatnonzero(w):
         coef[(0,) * j + (1,) + (0,) * (len(w) - j - 1)] = w[j]
-    return MultiPoly.from_coef(coef)
+    return MultiPoly(coef)
 
 
 def _compose_axis(coef: np.ndarray, i: int, const: float, own: float,
@@ -151,7 +135,7 @@ def _compose_axis(coef: np.ndarray, i: int, const: float, own: float,
     grow = [j for j in range(coef.ndim) if j != i and others[j] != 0.0]
     if const == 0.0 and own == 1.0 and not grow:
         return coef
-    deg = MultiPoly.from_coef(coef).degree
+    deg = MultiPoly(coef).degree
     shape = list(coef.shape)
     for j in grow:
         shape[j] = max(shape[j], min(shape[j] + coef.shape[i] - 1, deg + 1))
@@ -165,6 +149,18 @@ def _compose_axis(coef: np.ndarray, i: int, const: float, own: float,
         new[slab] += coef[_along(i, slice(k, k + 1))]
         acc = new
     return acc
+
+
+def _hermite_functions(xs: np.ndarray, nmax: int) -> np.ndarray:
+    """Orthonormal oscillator eigenfunctions psi_n(x), vacuum variance 1/2: out[n] at xs."""
+    out = np.zeros((nmax + 1, *np.shape(xs)))
+    out[0] = math.pi ** -0.25 * np.exp(-xs ** 2 / 2.0)
+    if nmax >= 1:
+        out[1] = math.sqrt(2.0) * xs * out[0]
+    for n in range(2, nmax + 1):
+        out[n] = (math.sqrt(2.0 / n) * xs * out[n - 1]
+                  - math.sqrt((n - 1.0) / n) * out[n - 2])
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -258,15 +254,15 @@ class PolyGaussian:
 
 def gaussian_wigner(V: CovMatrix) -> PolyGaussian:
     """Wigner function of the zero-mean Gaussian state with covariance V."""
-    if not V.is_physical():
+    if not check_physical(V)[0]:
         raise DomainError("covariance matrix is not physical")
     return PolyGaussian(V.entries, np.zeros(4), MultiPoly.constant(4), 1.0)
 
 
 def normalize(W: PolyGaussian) -> PolyGaussian:
     mass = W.total_mass()
-    if mass <= 0:
-        raise ContractError(f"cannot normalize: total mass {mass:.3e} is not positive")
+    if not 0 < mass < math.inf:
+        raise ContractError(f"cannot normalize: total mass {mass:.3e} is not positive and finite")
     return PolyGaussian(W.cov, W.mean, W.poly, W.norm / mass)
 
 
@@ -304,7 +300,6 @@ def qn_polynomial(sigma: SigmaMatrix, n: int) -> MultiPoly:
     """
     if n < 0:
         raise DomainError(f"photon number must be >= 0, got {n}")
-    from .gaussian_core import require_xp_decoupled
     require_xp_decoupled(sigma, "qn_polynomial")
     if n == 0:
         return MultiPoly.constant(4)
@@ -394,7 +389,7 @@ def marginal(W: PolyGaussian, keep: list[int]) -> PolyGaussian:
     mom_z = _moment_table(Sc, np.zeros((1, len(drop))), [coef.shape[i] for i in drop])[..., 0]
     coef = np.tensordot(coef, mom_z, axes=(drop, range(len(drop))))
     coef = np.transpose(coef, np.argsort(np.argsort(keep)))    # ascending -> keep order
-    return PolyGaussian(Vxx, mu_x, MultiPoly.from_coef(coef), W.norm)
+    return PolyGaussian(Vxx, mu_x, MultiPoly(coef), W.norm)
 
 
 def project_XC(W: PolyGaussian, eps: float, zeta: float = 0.0,
@@ -433,7 +428,7 @@ class GridSpec:
     n: int = DEFAULT_GRID[2]
 
     def __post_init__(self):
-        if not (self.xmax > self.xmin and self.n >= 2):
+        if not (self.xmax > self.xmin and self.n >= 2 and self.step > 0):
             raise DomainError(f"degenerate grid {self}")
 
     @property

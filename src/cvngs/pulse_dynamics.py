@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DomainError, NumericalDomainError
-from .gaussian_core import CovMatrix, SqueezeSpec, check_physical, initial_covariance
+from .gaussian_core import (CovMatrix, SqueezeSpec, check_physical,
+                            epr_steering_MtoC, initial_covariance,
+                            logarithmic_negativity)
 
 TWO_PI_MHZ = 2.0 * math.pi * 1e6
 
@@ -143,8 +145,6 @@ def covariance_after_pulse(params: SystemParams, pulse: PulseSpec) -> CovMatrix:
 
 def correlation_sweep(params: SystemParams, r_grid, squeeze_db_grid) -> list[dict]:
     """Rows of (R, tau_s, S_in_dB, E_N, steering_MC) over the grid, in input order."""
-    from .gaussian_core import epr_steering_MtoC, logarithmic_negativity
-
     r_grid = list(r_grid)
     squeeze_db_grid = list(squeeze_db_grid)
     if not r_grid or not squeeze_db_grid:

@@ -253,7 +253,7 @@ def wavefunction_XM(sigma: SigmaMatrix, g_A: float, n: int,
     # at Y = zeta: exp(-(s11 X^2 + 2 s13a zeta X)/2) = exp(-s11 (X-d)^2/2) * const,
     # so re-centre the polynomial in X on y = X - d
     d = -s13a * zeta / s11
-    coeffs = MultiPoly.from_coef(P.polyval(zeta, q.coef.T)).substitute_linear(
+    coeffs = MultiPoly(P.polyval(zeta, q.coef.T)).substitute_linear(
         np.eye(1), [d]).coef
     if not coeffs.any():
         raise ZeroWeightError("wave function vanished (subtraction from vacuum)")
@@ -366,8 +366,8 @@ def imperfect_wigner_closed_form(sigma: SigmaMatrix, eps: float,
         raise DomainError(f"Gaussian envelope not normalizable (a={a:.3e}, b={b:.3e})")
 
     # polynomial [(2F+ - 2e - 2f)^2 - 4(e-f)F- - lam] over (X_M, P_M)
-    x2 = MultiPoly(2, {(2, 0): 1.0})
-    p2 = MultiPoly(2, {(0, 2): 1.0})
+    x2 = MultiPoly([[0.0], [0.0], [1.0]])
+    p2 = MultiPoly([[0.0, 0.0, 1.0]])
     Fp = x2.scale(c * c) + p2.scale(d * d)
     Fm = x2.scale(c * c) + p2.scale(-d * d)
     core = Fp.scale(2.0) + MultiPoly.constant(2, -2.0 * e - 2.0 * f)

@@ -3,15 +3,20 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvngs
 from cvngs import GridSpec, PulseSpec, SystemParams
-from cvngs.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, FIGURE_IDS,
-                       _write_csv, _write_wigner, main, run)
+from cvngs.cli import (_SCHEMA, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
+                       FIGURE_IDS, ManifestError, _check, _write_csv,
+                       _write_wigner, main, run)
 
 
 def read_json(path):
@@ -68,12 +73,17 @@ class TestValidation:
         {"command": "eps", "stages": [{"g_linear": 1e300}]},
         {"command": "eps", "stages": [{"g_db": -4000.0}]},
         {"command": "eps", "stages": [{"g_linear": 1e-300}]},
+        {"command": "oracle", "params": {"gamma_mhz": 0, "squeeze_db": -3},
+         "oracle": {"truncation": 24}, "stages": [{"xi": 0.5, "n": 2, "n_A": 0.2}]},
+        {"command": "eps", "grid": {"xmin": -1e300, "xmax": 1e300, "n": 3}},
+        {"command": "eps", "grid": {"n": 1002}},
     ], ids=["float-int", "bool-int", "R-exclusive-min", "empty-array", "unknown-command",
             "missing-command", "xmax-eq-xmin", "xmin-past-default-xmax",
             "figure-eta", "out-dir", "nan", "infinity", "minus-infinity-item",
             "oracle-theta", "figure-mu-unread", "stage-g-db-and-xi",
             "stage-g-db-and-g-linear", "stage-without-gain", "stage-g-db-overflow",
-            "stage-g-linear-huge", "stage-g-db-underflow", "stage-g-linear-tiny"])
+            "stage-g-linear-huge", "stage-g-db-underflow", "stage-g-linear-tiny",
+            "oracle-n-A", "grid-huge-span", "grid-n-above-bound"])
     def test_schema_rejects(self, tmp_path, manifest):
         assert run(manifest, tmp_path) == EXIT_VALIDATION
         assert read_json(tmp_path / "report.json")["error"]["kind"] == "validation"
@@ -93,6 +103,74 @@ class TestNumericalErrors:
                   "stages": [{"xi": 0.5, "n": 2}]}, tmp_path)
         assert rc == EXIT_NUMERICAL
         assert read_json(tmp_path / "report.json")["error"]["kind"] == "numerical-domain"
+
+    def test_solved_gain_out_of_range(self, tmp_path):
+        assert run({"command": "eps", "stages": [{"xi": -1e300}]}, tmp_path) == EXIT_NUMERICAL
+        assert "solved gain" in read_json(tmp_path / "report.json")["error"]["message"]
+
+    # each of these moves the numeric map away from the closed form (by 0.023 to 0.14)
+    @pytest.mark.parametrize("extra", [{"channel": {"nu": 0.9}},
+                                       {"stages": [{"xi": 1.0, "n": 2, "n_A": 0.1}]},
+                                       {"measurement": {"theta": 0.4}},
+                                       {"measurement": {"zeta": 0.5}}],
+                             ids=["nu", "n_A", "theta", "zeta"])
+    def test_imperfections_outside_the_closed_form(self, tmp_path, extra):
+        manifest = dict({"command": "imperfections", "pulse": {"R": 0.5},
+                         "stages": [{"xi": 1.0, "n": 2}], "grid": {"n": 61}}, **extra)
+        assert run(manifest, tmp_path) == EXIT_NUMERICAL
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+EDGE = (0.0, 5e-324, 1e-300, 1e-12, 1e12, 1e300)
+
+
+def edge_numbers(prop):
+    """Edge values of a schema number, with their negatives and the field's own
+    bounds, that the field's schema accepts."""
+    def valid(v):
+        try:
+            _check(v, prop, "")
+        except ManifestError:
+            return False
+        return True
+    bounds = [prop[k] for k in ("minimum", "maximum") if k in prop]
+    return st.sampled_from([v for v in dict.fromkeys((*EDGE, *(-m for m in EDGE), *bounds))
+                            if valid(v)])
+
+
+def block(name, **fixed):
+    """An optional-keys object of the schema block `name`, with edge numbers."""
+    props = _SCHEMA["properties"][name]["properties"]
+    return st.fixed_dictionaries({}, optional={
+        k: fixed.get(k, edge_numbers(p)) for k, p in props.items()})
+
+
+STAGE = _SCHEMA["properties"]["stages"]["items"]["properties"]
+stages = st.lists(st.sampled_from(["g_db", "g_linear", "xi"]).flatmap(
+    lambda gain: st.fixed_dictionaries({gain: edge_numbers(STAGE[gain])}, optional={
+        "n": st.sampled_from([0, 1, 2, 3]), "n_A": edge_numbers(STAGE["n_A"])})),
+    min_size=1, max_size=1)
+manifests = st.fixed_dictionaries(
+    {"command": st.sampled_from(["eps", "imperfections", "oracle"]),
+     "grid": block("grid", n=st.sampled_from([2, 3, 21]))},
+    optional={"params": block("params"), "pulse": block("pulse"), "stages": stages,
+              "measurement": block("measurement"), "channel": block("channel"),
+              "oracle": st.just({"truncation": 8})})
+
+
+def reject_constant(name):
+    raise ValueError(f"report.json holds {name}")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(manifest=manifests)
+def test_hostile_manifest_ends_in_a_report(manifest):
+    # overflow in the rejected inputs warns on its way to the typed error
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = run(manifest, Path(tmp))
+        assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
+        json.loads((Path(tmp) / "report.json").read_text(), parse_constant=reject_constant)
 
 
 class TestGainSolve:

@@ -168,7 +168,7 @@ class TestModeWiseChannels:
     def test_apply_on_c_complex_operator(self, state):
         rng = np.random.default_rng(8)
         op = rng.standard_normal((state.dim,) * 2) + 1j * rng.standard_normal((state.dim,) * 2)
-        out = FockState(state.truncation, 2, amps=_on_c(op, state.amps))
+        out = FockState(amps=_on_c(op, state.amps))
         self.assert_close(out.density(), self.congruence(state.density(), [op]))
 
     def test_subtraction(self, state):
@@ -222,7 +222,7 @@ class TestFactor:
     def test_equality_is_identity(self):
         st = FockState.from_density(np.eye(3) / 3.0, 2, 1)
         assert (st == st) is True
-        assert (st == FockState(2, 1, amps=st.amps)) is False
+        assert (st == FockState(amps=st.amps)) is False
 
     def test_oracle_memory_stays_small(self):
         # N = 40 with loss, efficiency and dark counts: the dense two-mode
@@ -241,6 +241,14 @@ class TestFactor:
 
 
 class TestWigner:
+    # a fine or a wide grid needs a lattice of 2.7e13 or 2.6e6 points and a
+    # matrix of that size squared: it is refused before anything is allocated
+    @pytest.mark.parametrize("grid", [GridSpec(0.0, 1e-12, 3), GridSpec(-1000.0, 1000.0, 21)],
+                             ids=["fine", "wide"])
+    def test_lattice_too_long_rejected(self, grid):
+        with pytest.raises(DomainError, match="lattice"):
+            wigner_from_density(FockState.from_density(np.eye(3) / 3.0, 2, 1), grid)
+
     def test_vacuum_peak(self):
         d = 13
         rho = np.zeros((d, d), complex)
@@ -283,7 +291,7 @@ class TestWigner:
         for n in range(41):
             amps = np.zeros((41, 1))
             amps[n] = 1.0
-            W = wigner_from_density(FockState(40, 1, amps=amps), g)
+            W = wigner_from_density(FockState(amps=amps), g)
             ref = (-1) ** n * eval_laguerre(n, 2.0 * r2) * np.exp(-r2) / math.pi
             assert np.abs(W - ref).max() < 1e-12, n
 

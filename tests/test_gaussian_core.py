@@ -149,8 +149,3 @@ class TestSigmaRoundTrip:
         V = pulsed_V(R=0.33, db=-4.0)
         back = cov_from_sigma(sigma_from_cov(V))
         assert np.abs(back.entries - V.entries).max() < 1e-10
-
-    def test_json_roundtrip(self):
-        V = pulsed_V()
-        assert np.allclose(CovMatrix.from_json_dict(V.to_json_dict()).entries,
-                           V.entries)

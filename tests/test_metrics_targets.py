@@ -9,9 +9,14 @@ from cvngs import (EpsStage, GridSpec, MeasurementSpec, PipelineSpec,
                    four_cat_pipeline, gaussian_wigner, initial_covariance, marginal,
                    parity_indicator, quadrature_variances, score_state,
                    sigma_from_cov, solve_gain, squeezing_estimate)
-from cvngs.exceptions import ContractError, DomainError
+from cvngs.exceptions import ContractError, DomainError, NumericalDomainError
 from cvngs.metrics_targets import _cat_cost_fn, _lobes, _marginals
 from test_phase_space import fock1_wigner
+
+
+def wigner_grid(target, g):
+    """The target's W_t on the grid, row-major [x, p]."""
+    return target.wigner()(*np.meshgrid(g.axis, g.axis, indexing="ij"))
 
 
 def pipeline_state(xi, R=0.9, gamma=0.0, n=2, db=-6.0, n_m=0.0, g=None, n_A=0.0,
@@ -35,14 +40,14 @@ class TestTargets:
                   TargetState.cat(1.0, -1, lobe_var=0.3, axis="p"),
                   TargetState.fock(2, squeeze_db=-3.0),
                   TargetState.four_cat(1.6)):
-            field = t.wigner_grid(g)
+            field = wigner_grid(t, g)
             assert field.sum() * g.step ** 2 == pytest.approx(1.0, abs=1e-8)
 
     def test_wavefunction_consistent_with_wigner(self):
         # marginal of W equals |psi|^2 for the X-axis cat
         t = TargetState.cat(math.sqrt(2.0), 1)
         g = GridSpec(-8.0, 8.0, 321)
-        marg = t.wigner_grid(g).sum(axis=1) * g.step
+        marg = wigner_grid(t, g).sum(axis=1) * g.step
         psi = t.wavefunction()
         dens = np.abs(psi(g.axis)) ** 2
         assert np.abs(marg - dens).max() < 1e-8
@@ -77,6 +82,9 @@ class TestTargets:
             TargetState.cat(1.0, 2)
         with pytest.raises(DomainError):
             TargetState.fock(-1)
+        for alpha in (0.0, 1e-9):       # an odd cat without norm: its fidelity would be NaN
+            with pytest.raises(DomainError):
+                TargetState.cat(alpha, -1)
 
 
 class TestFidelity:
@@ -106,6 +114,12 @@ class TestFidelity:
         with pytest.raises(ContractError):
             fidelity(W2, TargetState.fock(1))
 
+    def test_non_finite_overlap_rejected(self):
+        from cvngs import PolyGaussian
+        W = fock1_wigner()
+        with pytest.raises(NumericalDomainError):
+            fidelity(PolyGaussian(W.cov, W.mean, W.poly, float("nan")), TargetState.fock(1))
+
     def test_pipeline_fock_state(self):
         W, sig = pipeline_state(0.5, gamma=0.0)
         t = TargetState.fock(2, squeeze_db=-10 * math.log10(sig.s11))
@@ -128,7 +142,7 @@ class TestExactFidelity:
     def grid_fidelity(W, target):
         g = GridSpec(-8.0, 8.0, 401)
         field, _ = evaluate_grid(W, g)
-        return 2.0 * math.pi * float(np.sum(field * target.wigner_grid(g))) * g.step ** 2
+        return 2.0 * math.pi * float(np.sum(field * wigner_grid(target, g))) * g.step ** 2
 
     @pytest.mark.parametrize("xi, target", [
         (1.0, TargetState.cat(math.sqrt(2.0), 1, lobe_var=0.3, axis="p")),
@@ -290,7 +304,7 @@ class TestCatSize:
         # lobe_var is the lobe variance along p for a P cat
         t = TargetState.cat(math.sqrt(2.0), 1, lobe_var=0.3, axis="p")
         g = GridSpec(-8.0, 8.0, 401)
-        mp = t.wigner_grid(g).sum(axis=0) * g.step
+        mp = wigner_grid(t, g).sum(axis=0) * g.step
         want = cat_marginal(g.axis, 2.0 * math.sqrt(2.0 * 0.3), 0.3, 1)
         assert np.abs(mp - want).max() < 1e-10
 

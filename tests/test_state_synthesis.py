@@ -13,6 +13,7 @@ from cvngs import (EpsStage, GridSpec, MeasurementSpec, PipelineSpec,
                    solve_gain, subtract_photon, wavefunction_XM, xi_from_gain)
 from cvngs.exceptions import ContractError, DomainError, ZeroWeightError
 from cvngs.gaussian_core import SigmaMatrix
+from test_phase_space import coeff_diff
 
 
 def pulsed(R=0.9, db=-6.0, gamma=1.6, n_m=0.0):
@@ -208,9 +209,9 @@ class TestDarkCounts:
         Wu = subtract_photon(W)
         from cvngs import normalize
         m1 = dark_count_mix(Wh, Wu, 1.0)
-        assert m1.poly.max_abs_coeff_diff(normalize(Wh).poly) < 1e-12
+        assert coeff_diff(m1.poly, normalize(Wh).poly) < 1e-12
         m0 = dark_count_mix(Wh, Wu, 0.0)
-        assert m0.poly.max_abs_coeff_diff(normalize(Wu).poly) < 1e-12
+        assert coeff_diff(m0.poly, normalize(Wu).poly) < 1e-12
 
     def test_mismatched_kernels_rejected(self):
         V1, V2 = pulsed(R=0.5), pulsed(R=0.6)
