@@ -16,9 +16,7 @@ from .gaussian_core import (CONVENTION_TAG, CovMatrix, SigmaMatrix, SqueezeSpec,
                             loss_channel_cov, loss_channel_sigma,
                             sigma_from_cov)
 from .metrics_targets import (CatFit, StateMetrics, TargetState, cat_fit,
-                              cat_size, fidelity, parity_indicator,
-                              quadrature_variances, score_state,
-                              squeezing_estimate)
+                              fidelity, parity_indicator, score_state)
 from .phase_space import (GridSpec, MultiPoly, PolyGaussian, amplify_wigner,
                           apply_linear_map, evaluate_grid, gaussian_wigner,
                           marginal, multiply_gaussian_window, normalize,

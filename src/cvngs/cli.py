@@ -46,6 +46,7 @@ _G_LINEAR = _SCHEMA["properties"]["stages"]["items"]["properties"]["g_linear"]
 
 # xi of the P-cat, Fock and X-cat gain rules
 _XI = {"p": 1.0, "F": 0.5, "x": 0.0}
+MAX_PHOTONS = 8     # subtracted photons summed over the stages: the range the tests cover
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +102,12 @@ def validate_manifest(manifest: dict) -> dict:
     pulse = manifest.get("pulse", {})
     if "R" in pulse and "tau_ns" in pulse:
         raise ManifestError("pulse: give exactly one of R or tau_ns")
-    for i, st in enumerate(manifest.get("stages", ())):
+    stages = manifest.get("stages", ())
+    for i, st in enumerate(stages):
         if sum(k in st for k in ("g_db", "g_linear", "xi")) != 1:
             raise ManifestError(f"stages[{i}]: give exactly one of g_db, g_linear, xi")
+    if (total := sum(st.get("n", 2) for st in stages)) > MAX_PHOTONS:
+        raise ManifestError(f"stages: at most {MAX_PHOTONS} photons in all, got {total}")
     grid = manifest.get("grid", {})
     if not grid.get("xmax", GridSpec.xmax) > grid.get("xmin", GridSpec.xmin):
         raise ManifestError("grid: xmax must exceed xmin")
@@ -434,7 +438,7 @@ def _wavefunction_rows(fid, overrides):
     sigma = sigma_from_cov(_V(0.0, 0.9))
     psi = four_cat_wavefunction(sigma, 0.0)
     lam = math.sqrt(1.0 / sigma.s11)
-    ideal = TargetState.four_cat(1.6).wavefunction()
+    ideal = TargetState.four_cat(1.6).wavefunction
     # normalized-frame comparison: pipeline psi in y = X/lam units
     xs = np.linspace(-8.0, 8.0, 481)
     return zip(xs.tolist(), (psi(xs * lam) * math.sqrt(lam)).tolist(),

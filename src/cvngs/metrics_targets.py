@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .exceptions import ContractError, DomainError, NumericalDomainError
-from .phase_space import (MultiPoly, PolyGaussian, _expect, _gauss_density,
-                          _hermite_functions, marginal, normalize,
+from .exceptions import DomainError, NumericalDomainError
+from .phase_space import (MultiPoly, PolyGaussian, _expect, _hermite_functions,
+                          _require_normalized, marginal, normalize,
                           overlap_terms, translate, wigner_negativity)
 
 SQRT2 = math.sqrt(2.0)
@@ -33,20 +34,15 @@ def _pair_weights(alphas, coeffs) -> list:
             for cj, aj in zip(coeffs, alphas) for ck, ak in zip(coeffs, alphas)]
 
 
-def _coherent_terms(alphas, coeffs, scale: float) -> tuple:
-    """Wigner kernel group of the normalized sum_k c_k |alpha_k> with x scaled
-    by `scale` (p by 1/scale): |a_j><a_k| gives <a_k|a_j> N(u; m_jk, cov) with
-    the complex mean m_jk = ((a_j + a_k*) scale, -i (a_j - a_k*) / scale) / sqrt2."""
+def _coherent(alphas, coeffs, scale: float) -> tuple:
+    """(terms, psi) of the normalized sum_k c_k |alpha_k> with x scaled by `scale`
+    (p by 1/scale).  Terms: |a_j><a_k| gives <a_k|a_j> N(u; m_jk, cov) with the
+    complex mean m_jk = ((a_j + a_k*) scale, -i (a_j - a_k*) / scale) / sqrt2."""
     weights = _pair_weights(alphas, coeffs)
     norm, cov = sum(weights).real, np.diag([scale * scale, 1.0 / (scale * scale)]) / 2.0
     means = np.array([[(aj + np.conj(ak)) * scale, -1j * (aj - np.conj(ak)) / scale]
                       for aj, ak in product(alphas, alphas)]) / SQRT2
-    return ((np.array(weights) / norm, means, cov, _ONE),)
-
-
-def _coherent_superposition_psi(alphas, coeffs, scale: float):
-    """psi(x) of the normalized sum_k c_k |alpha_k>, with x scaled by `scale`."""
-    pref = math.pi ** -0.25 / math.sqrt(scale * sum(_pair_weights(alphas, coeffs)).real)
+    pref = math.pi ** -0.25 / math.sqrt(scale * norm)
 
     def psi(x):
         y = np.asarray(x, dtype=float) / scale
@@ -55,38 +51,48 @@ def _coherent_superposition_psi(alphas, coeffs, scale: float):
             tot += c * np.exp(-y * y / 2.0 + SQRT2 * a * y
                               - a * a / 2.0 - abs(a) ** 2 / 2.0)
         return pref * tot
-    return psi
+    return ((np.array(weights) / norm, means, cov, _ONE),), psi
 
 
-def _fock_terms(n: int, lam: float) -> tuple:
-    """One term: (-1)^n L_n(2 (x^2/lam^2 + lam^2 p^2)) N(u; 0, diag(lam^2, lam^-2)/2)."""
+def _fock(n: int, lam: float) -> tuple:
+    """(terms, psi): one term (-1)^n L_n(2 (x^2/lam^2 + lam^2 p^2)) N(u; 0, diag(lam^2,
+    lam^-2)/2), and psi_n(x / lam) / sqrt(lam)."""
     coef = np.zeros((2 * n + 1, 2 * n + 1))
     for k in range(n + 1):
         ck = (-1.0) ** (n + k) * math.comb(n, k) * 2.0 ** k / math.factorial(k)
         for j in range(k + 1):
             coef[2 * j, 2 * (k - j)] = ck * math.comb(k, j) * lam ** (2 * (k - 2 * j))
-    return ((np.ones(1), np.zeros((1, 2)), np.diag([lam * lam, 1.0 / (lam * lam)]) / 2.0,
-             MultiPoly(coef)),)
+    terms = ((np.ones(1), np.zeros((1, 2)), np.diag([lam * lam, 1.0 / (lam * lam)]) / 2.0,
+              MultiPoly(coef)),)
+    return terms, lambda x: (_hermite_functions(np.asarray(x, dtype=float) / lam, n)[n]
+                             / math.sqrt(lam))
 
 
-@dataclass(frozen=True)
+def _require_finite(**values) -> None:
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {v}")
+
+
+@dataclass(frozen=True, eq=False)
 class TargetState:
     """Pure reference state: cat, Fock, or four-component cat, with optional
     squeezing (coordinate scale lam: x -> x/lam, p -> p*lam along the stated axis).
 
     `terms` holds its Wigner function as kernel groups (weights (K,), means (K, 2),
     cov, poly): K = 4 for a cat, 16 for a four-cat, one Laguerre term for Fock.
+    `wavefunction(x)` is psi on the X axis (complex for P cats and four cats).
     """
 
-    kind: str
-    params: dict = field(repr=True)
-    terms: tuple = field(init=False, repr=False, compare=False)
+    terms: tuple
+    wavefunction: Callable
 
     @classmethod
     def cat(cls, alpha: float, parity: int = 1, lobe_var: float = 0.5,
             axis: str = "x") -> "TargetState":
         """Squeezed cat S(|a> + parity |-a>); lobe_var is the absolute marginal
         variance of each lobe along the cat axis (vacuum: 1/2)."""
+        _require_finite(alpha=alpha, lobe_var=lobe_var)
         if alpha < 0 or lobe_var <= 0:
             raise DomainError("cat amplitude must be >= 0 and lobe variance positive")
         if parity not in (+1, -1):
@@ -95,68 +101,34 @@ class TargetState:
             raise DomainError(f"axis must be 'x' or 'p', got {axis}")
         if 1.0 + parity * math.exp(-2.0 * alpha * alpha) < CAT_NORM_MIN:
             raise DomainError(f"odd cat at alpha = {alpha} has a vanishing norm")
-        return cls("cat", {"alpha": float(alpha), "parity": int(parity),
-                           "lobe_var": float(lobe_var), "axis": axis})
+        a, lam, coeffs = float(alpha), math.sqrt(2.0 * lobe_var), [1.0, float(parity)]
+        # a P cat is |i a> + parity |-i a> squeezed along p: x is scaled by 1/lam
+        if axis == "x":
+            return cls(*_coherent([a, -a], coeffs, lam))
+        return cls(*_coherent([1j * a, -1j * a], coeffs, 1.0 / lam))
 
     @classmethod
     def fock(cls, n: int, squeeze_db: float = 0.0) -> "TargetState":
         """Squeezed Fock state; squeeze_db scales the X variance by 10^(db/10)."""
+        _require_finite(squeeze_db=squeeze_db)
+        if not float(n).is_integer():
+            raise DomainError(f"Fock index must be an integer, got {n}")
         if n < 0:
             raise DomainError(f"Fock index must be >= 0, got {n}")
-        return cls("fock", {"n": int(n), "squeeze_db": float(squeeze_db)})
+        return cls(*_fock(int(n), 10.0 ** (float(squeeze_db) / 20.0)))
 
     @classmethod
     def four_cat(cls, alpha0: float) -> "TargetState":
         """Equal superposition of coherent states at alpha0 e^{i(2k-1)pi/4}."""
+        _require_finite(alpha0=alpha0)
         if alpha0 < 0:
             raise DomainError(f"amplitude must be >= 0, got {alpha0}")
-        return cls("four_cat", {"alpha0": float(alpha0)})
-
-    def __post_init__(self):
-        if self.kind not in ("cat", "fock", "four_cat"):
-            raise DomainError(f"unknown target kind {self.kind!r}")
-        terms = (_fock_terms(self.params["n"], 10.0 ** (self.params["squeeze_db"] / 20.0))
-                 if self.kind == "fock" else _coherent_terms(*self._superposition()))
-        object.__setattr__(self, "terms", terms)
-
-    def _superposition(self) -> tuple:
-        """(alphas, coeffs, x scale) of a cat or a four-cat."""
-        if self.kind == "four_cat":
-            a0 = self.params["alpha0"]
-            alphas = [a0 * np.exp(1j * (2 * k - 1) * math.pi / 4.0) for k in range(1, 5)]
-            return alphas, [1.0] * 4, 1.0
-        a, lam = self.params["alpha"], math.sqrt(2.0 * self.params["lobe_var"])
-        coeffs = [1.0, float(self.params["parity"])]
-        # a P cat is |i a> + parity |-i a> squeezed along p: x is scaled by 1/lam
-        return ([a, -a], coeffs, lam) if self.params["axis"] == "x" else \
-            ([1j * a, -1j * a], coeffs, 1.0 / lam)
-
-    def wigner(self):
-        """Callable W_t(x, p), normalized to integrate to 1: the sum of its terms."""
-        def W(x, p):
-            x, p = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(p, dtype=float))
-            u = np.stack([x.ravel(), p.ravel()], axis=1)
-            return sum((wk * _gauss_density(u, mk, c)).real * q.evaluate(u)
-                       for w, m, c, q in self.terms for wk, mk in zip(w, m)).reshape(x.shape)
-        return W
-
-    def wavefunction(self):
-        """Callable psi(x) on the X axis (complex for P cats / four cats)."""
-        if self.kind != "fock":
-            return _coherent_superposition_psi(*self._superposition())
-        n, lam = self.params["n"], 10.0 ** (self.params["squeeze_db"] / 20.0)
-        return lambda x: (_hermite_functions(np.asarray(x, dtype=float) / lam, n)[n]
-                          / math.sqrt(lam))
+        alphas = [float(alpha0) * np.exp(1j * (2 * k - 1) * math.pi / 4.0) for k in range(1, 5)]
+        return cls(*_coherent(alphas, [1.0] * 4, 1.0))
 
 
 # ---------------------------------------------------------------------------
 # metrics
-
-def _require_normalized(W: PolyGaussian) -> None:
-    mass = W.total_mass()
-    if abs(mass - 1.0) > 1e-6:
-        raise ContractError(f"state not normalized (mass {mass:.6e})")
-
 
 def _clipped_overlap(W: PolyGaussian, target: TargetState) -> float:
     f = overlap_terms(W, target.terms)
@@ -232,7 +204,10 @@ def _lobes(q, mu, s) -> tuple | None:
     """(dip ratio, half lobe separation, lobe variance) of m = q N(mu, s), or None."""
     # critical points of m: real roots of d = s q' - (x - mu) q, as m' = N d / s
     d = P.polysub(s * P.polyder(q), P.polymul([-mu, 1.0], q))
-    r = P.polyroots(d)
+    try:
+        r = P.polyroots(d)
+    except np.linalg.LinAlgError as exc:     # a subnormal leading coefficient
+        raise NumericalDomainError(f"marginal critical points: {exc}") from exc
     x = np.sort(r.real[np.abs(r.imag) <= 1e-9 * np.maximum(1.0, np.abs(r.real))])
 
     def m(y):
@@ -273,18 +248,9 @@ def cat_fit(W: PolyGaussian) -> CatFit | None:
     return _fit_and_squeezing(W)[1]
 
 
-def cat_size(W: PolyGaussian) -> float | None:
-    """|alpha|^2 from the fitted lobes; None when no cat structure is resolved."""
-    return getattr(cat_fit(W), "alpha2", None)
-
-
-def quadrature_variances(W: PolyGaussian) -> tuple[float, float]:
-    return tuple(_variance(*mg) for mg in _marginals(W))
-
-
 def _fit_and_squeezing(W: PolyGaussian, n: int | None = None,
                        sigma11: float | None = None) -> tuple[dict, CatFit | None]:
-    """The squeezing_estimate dict and the cat fit whose lobes it reads."""
+    """score_state's squeezing dict and the cat fit whose lobes it reads."""
     margs = list(_marginals(W))
     # prefer the axis with the deeper central dip (true cat lobes, not fringes);
     # the fit leaves the dip as it is, so only that axis is refined
@@ -305,28 +271,13 @@ def _fit_and_squeezing(W: PolyGaussian, n: int | None = None,
     return out, fit
 
 
-def squeezing_estimate(W: PolyGaussian, n: int | None = None,
-                       sigma11: float | None = None) -> dict:
-    """Squeezing of the state in dB (negative = below vacuum), several methods.
-
-    min_var_db:   10 log10(2 min(Var X, Var P))
-    fock_ref_db:  10 log10(2 min Var / (2n+1)), given the Fock index n
-    lobe_db:      10 log10(2 v_lobe) from the fitted cat lobes (if any)
-    sigma_fock_db / sigma_cat_db: the mapping prescription -10 log10(sigma11)
-                  and -10 log10(2 sigma11), given the pre-measurement sigma11
-    """
-    return _fit_and_squeezing(W, n, sigma11)[0]
-
-
-def best_cat_fidelity(W: PolyGaussian, axis: str, parity: int = 1) -> tuple[float, tuple]:
-    """Fidelity against the best-fitting squeezed cat on the given axis.
+def best_cat_fidelity(W: PolyGaussian, axis: str) -> tuple[float, tuple]:
+    """Fidelity against the best-fitting even squeezed cat on the given axis.
 
     Displaced states are recentred first; returns (F, (alpha2, lobe_var))."""
     from scipy.optimize import minimize
 
-    Wc = W
-    if np.abs(W.mean).max() > 1e-9:
-        Wc = normalize(translate(W, -W.mean))
+    Wc = normalize(translate(W, -W.mean)) if np.abs(W.mean).max() > 1e-9 else W
     _require_normalized(Wc)
     fit = cat_fit(Wc)
     seed = (fit.alpha2, fit.lobe_var) if fit is not None and fit.axis == axis else (2.0, 0.5)
@@ -335,8 +286,7 @@ def best_cat_fidelity(W: PolyGaussian, axis: str, parity: int = 1) -> tuple[floa
         a2, v = q
         if a2 <= 0.01 or v <= 0.02 or v > 6.0:
             return 1.0
-        return -_clipped_overlap(Wc, TargetState.cat(math.sqrt(a2), parity,
-                                                     lobe_var=v, axis=axis))
+        return -_clipped_overlap(Wc, TargetState.cat(math.sqrt(a2), 1, lobe_var=v, axis=axis))
 
     r = minimize(neg_f, list(seed), method="Nelder-Mead",
                  options={"xatol": 1e-4, "fatol": 1e-7})
@@ -371,15 +321,22 @@ class StateMetrics:
             raise DomainError(f"negativity {self.delta} is negative")
 
     def to_json_dict(self) -> dict:
-        return {"F": self.F, "delta": self.delta, "alpha2": self.alpha2,
-                "squeeze_dB": self.squeeze_db,
-                "parity": self.parity, "method_tags": self.method_tags}
+        return {"F": self.F, "delta": self.delta, "alpha2": self.alpha2, "squeeze_dB":
+                self.squeeze_db, "parity": self.parity, "method_tags": self.method_tags}
 
 
 def score_state(W: PolyGaussian, target: TargetState | None = None,
                 n: int | None = None, sigma11: float | None = None) -> StateMetrics:
-    """Convenience bundle: fidelity (if a target is given), negativity, cat size,
-    squeezing estimate and parity indicator."""
+    """Fidelity (if a target is given), negativity, cat size, squeezing and
+    parity indicator of W.
+
+    method_tags["squeeze"] holds the squeezing in dB (negative = below vacuum):
+    min_var_db:   10 log10(2 min(Var X, Var P)), with var_x and var_p
+    fock_ref_db:  10 log10(2 min Var / (2n+1)), given the Fock index n
+    lobe_db:      10 log10(2 v_lobe) from the fitted cat lobes (if any)
+    sigma_fock_db / sigma_cat_db: the mapping prescription -10 log10(sigma11)
+                  and -10 log10(2 sigma11), given the pre-measurement sigma11
+    """
     f = fidelity(W, target) if target is not None else None
     delta = wigner_negativity(W)
     sq, fit = _fit_and_squeezing(W, n, sigma11)

@@ -266,6 +266,12 @@ def normalize(W: PolyGaussian) -> PolyGaussian:
     return PolyGaussian(W.cov, W.mean, W.poly, W.norm / mass)
 
 
+def _require_normalized(W: PolyGaussian) -> None:
+    mass = W.total_mass()
+    if abs(mass - 1.0) > 1e-6:
+        raise ContractError(f"state is not normalized (mass {mass:.6e}); call normalize()")
+
+
 def subtract_photon(W: PolyGaussian) -> PolyGaussian:
     """Single photon subtraction on the optical mode, as the exact second-order
     differential operator acting on poly * Gaussian.  Degree grows by 2; the
@@ -506,9 +512,7 @@ def wigner_negativity(W: PolyGaussian) -> float:
     """
     if W.nvars != 2:
         raise ContractError("wigner_negativity is defined for 2-variable states")
-    mass = W.total_mass()
-    if abs(mass - 1.0) > 1e-6:
-        raise ContractError(f"state is not normalized (mass {mass:.6e}); call normalize()")
+    _require_normalized(W)
 
     t_polys = _t_polys(W)
 

@@ -219,7 +219,7 @@ class TestCriterion7Imperfections:
         states, sig_post = lossy_states
         W = states["Fock"]
         delta = cv.wigner_negativity(W)
-        sq = cv.squeezing_estimate(W, n=2, sigma11=sig_post.s11)
+        sq = cv.score_state(W, n=2, sigma11=sig_post.s11).method_tags["squeeze"]
         s_db = sq["sigma_fock_db"]
         f, _ = best_fock_fidelity(W, 2)
         checks = {"delta 0.05+-0.05": abs(delta - 0.05) <= 0.05,
@@ -237,7 +237,7 @@ class TestCriterion7Imperfections:
         fit = cv.cat_fit(W)
         a2 = fit.alpha2 if fit else float("nan")
         f, _ = best_cat_fidelity(W, "x")
-        sq = cv.squeezing_estimate(W, sigma11=sig_post.s11)
+        sq = cv.score_state(W, sigma11=sig_post.s11).method_tags["squeeze"]
         s_db = sq["sigma_cat_db"]
         checks = {"alpha2 1.7+-0.05": abs(a2 - 1.7) <= 0.05,
                   "delta 0.06+-0.05": abs(delta - 0.06) <= 0.05,

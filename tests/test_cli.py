@@ -16,7 +16,7 @@ import cvngs
 from cvngs import GridSpec, PulseSpec, SystemParams
 from cvngs.cli import (_SCHEMA, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                        FIGURE_IDS, ManifestError, _check, _write_csv,
-                       _write_wigner, main, run)
+                       _write_wigner, main, run, validate_manifest)
 
 
 def read_json(path):
@@ -77,13 +77,16 @@ class TestValidation:
          "oracle": {"truncation": 24}, "stages": [{"xi": 0.5, "n": 2, "n_A": 0.2}]},
         {"command": "eps", "grid": {"xmin": -1e300, "xmax": 1e300, "n": 3}},
         {"command": "eps", "grid": {"n": 1002}},
+        {"command": "oracle", "oracle": {"truncation": 81}},
+        {"command": "eps", "stages": [{"xi": 0.5, "n": 5}, {"xi": 0.5, "n": 4}]},
     ], ids=["float-int", "bool-int", "R-exclusive-min", "empty-array", "unknown-command",
             "missing-command", "xmax-eq-xmin", "xmin-past-default-xmax",
             "figure-eta", "out-dir", "nan", "infinity", "minus-infinity-item",
             "oracle-theta", "figure-mu-unread", "stage-g-db-and-xi",
             "stage-g-db-and-g-linear", "stage-without-gain", "stage-g-db-overflow",
             "stage-g-linear-huge", "stage-g-db-underflow", "stage-g-linear-tiny",
-            "oracle-n-A", "grid-huge-span", "grid-n-above-bound"])
+            "oracle-n-A", "grid-huge-span", "grid-n-above-bound",
+            "truncation-above-bound", "photons-above-bound"])
     def test_schema_rejects(self, tmp_path, manifest):
         assert run(manifest, tmp_path) == EXIT_VALIDATION
         assert read_json(tmp_path / "report.json")["error"]["kind"] == "validation"
@@ -94,6 +97,16 @@ class TestValidation:
     def test_stage_gain_bounds_accepted(self, tmp_path, stage):
         assert run({"command": "eps", "stages": [stage], "grid": {"n": 21}},
                    tmp_path) == EXIT_OK
+
+    # validation alone: an N = 80 oracle state is not built here
+    @pytest.mark.parametrize("manifest", [
+        {"command": "oracle", "oracle": {"truncation": 80}},
+        {"command": "eps", "stages": [{"xi": 0.5, "n": 8}]},
+        {"command": "eps", "stages": [{"xi": 0.5, "n": 4}, {"g_db": 3.0, "n": 4}]},
+        {"command": "eps", "stages": [{"xi": 0.5}] * 4}],
+        ids=["truncation-80", "photons-8", "photons-4-4", "photons-default-n"])
+    def test_work_bounds_accepted(self, manifest):
+        assert validate_manifest(manifest) is manifest
 
 
 class TestNumericalErrors:

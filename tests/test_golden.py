@@ -2,7 +2,8 @@
 
 Each golden file sits next to the manifest that produced it; regenerating
 from the manifest must reproduce the bytes exactly (no timestamps, fixed
-summation order).
+summation order).  A golden report.json is compared key by key: new keys are
+allowed, every frozen key must keep its exact value.
 """
 
 import json
@@ -41,6 +42,24 @@ def test_golden_regression(tmp_path, manifest_name, artifact, golden_name):
     got = (tmp_path / artifact).read_bytes()
     want = (GOLDEN / golden_name).read_bytes()
     assert got == want, first_difference(golden_name, got, want)
+
+
+def leaves(obj, path=()):
+    """{key path: value} over the leaves of a JSON object; a list is a leaf."""
+    if not isinstance(obj, dict):
+        return {path: obj}
+    return {p: v for key, value in obj.items() for p, v in leaves(value, (*path, key)).items()}
+
+
+@pytest.mark.parametrize("name", ["eps_fock_R09", "eps_pcat_lossy_R05"])
+def test_report_keeps_golden_keys(tmp_path, name):
+    # report.json may gain diagnostic keys; every frozen key keeps its exact value
+    assert run(json.loads((GOLDEN / f"{name}.manifest.json").read_text()), tmp_path) == EXIT_OK
+    got = leaves(json.loads((tmp_path / "report.json").read_text()))
+    want = leaves(json.loads((GOLDEN / f"{name}.report.json").read_text()))
+    moved = {".".join(path): (v, got.get(path, "<missing>"))
+             for path, v in want.items() if path not in got or got[path] != v}
+    assert not moved, f"{name} report.json keys moved, as (frozen, produced): {moved}"
 
 
 def test_first_difference_names_line_and_texts():

@@ -4,19 +4,27 @@ import numpy as np
 import pytest
 
 from cvngs import (EpsStage, GridSpec, MeasurementSpec, PipelineSpec,
-                   PulseSpec, SystemParams, TargetState, cat_fit, cat_size,
+                   PulseSpec, SystemParams, TargetState, cat_fit,
                    covariance_after_pulse, eps_pipeline, evaluate_grid, fidelity,
                    four_cat_pipeline, gaussian_wigner, initial_covariance, marginal,
-                   parity_indicator, quadrature_variances, score_state,
-                   sigma_from_cov, solve_gain, squeezing_estimate)
+                   parity_indicator, score_state, sigma_from_cov, solve_gain)
 from cvngs.exceptions import ContractError, DomainError, NumericalDomainError
 from cvngs.metrics_targets import _cat_cost_fn, _lobes, _marginals
+from cvngs.phase_space import _gauss_density
 from test_phase_space import fock1_wigner
+
+
+def target_wigner(target, x, p):
+    """W_t(x, p), normalized to integrate to 1: the sum of the target's terms."""
+    x, p = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(p, dtype=float))
+    u = np.stack([x.ravel(), p.ravel()], axis=1)
+    return sum((wk * _gauss_density(u, mk, c)).real * q.evaluate(u)
+               for w, m, c, q in target.terms for wk, mk in zip(w, m)).reshape(x.shape)
 
 
 def wigner_grid(target, g):
     """The target's W_t on the grid, row-major [x, p]."""
-    return target.wigner()(*np.meshgrid(g.axis, g.axis, indexing="ij"))
+    return target_wigner(target, *np.meshgrid(g.axis, g.axis, indexing="ij"))
 
 
 def pipeline_state(xi, R=0.9, gamma=0.0, n=2, db=-6.0, n_m=0.0, g=None, n_A=0.0,
@@ -32,7 +40,7 @@ def pipeline_state(xi, R=0.9, gamma=0.0, n=2, db=-6.0, n_m=0.0, g=None, n_A=0.0,
 class TestTargets:
     def test_fock1_center_value(self):
         t = TargetState.fock(1)
-        assert t.wigner()(0.0, 0.0) == pytest.approx(-1.0 / math.pi, rel=1e-12)
+        assert target_wigner(t, 0.0, 0.0) == pytest.approx(-1.0 / math.pi, rel=1e-12)
 
     def test_targets_normalized(self):
         g = GridSpec(-8.0, 8.0, 321)
@@ -48,7 +56,7 @@ class TestTargets:
         t = TargetState.cat(math.sqrt(2.0), 1)
         g = GridSpec(-8.0, 8.0, 321)
         marg = wigner_grid(t, g).sum(axis=1) * g.step
-        psi = t.wavefunction()
+        psi = t.wavefunction
         dens = np.abs(psi(g.axis)) ** 2
         assert np.abs(marg - dens).max() < 1e-8
 
@@ -59,21 +67,21 @@ class TestTargets:
         TargetState.four_cat(1.6)], ids=["cat-x", "cat-p", "fock", "four-cat"])
     def test_wigner_terms_match_wavefunction(self, t):
         # W(x, p) = (1/pi) int psi*(x + y) psi(x - y) e^{2ipy} dy
-        psi = t.wavefunction()
+        psi = t.wavefunction
         y = np.linspace(-12.0, 12.0, 6001)
         for x, p in ((0.1, 0.2), (-0.7, 0.4), (1.1, -0.9), (0.0, 1.5)):
             ref = np.sum(np.conj(psi(x + y)) * psi(x - y) * np.exp(2j * p * y)).real
-            assert t.wigner()(x, p) == pytest.approx(ref * (y[1] - y[0]) / math.pi,
-                                                     abs=1e-12)
+            assert target_wigner(t, x, p) == pytest.approx(ref * (y[1] - y[0]) / math.pi,
+                                                           abs=1e-12)
 
     def test_four_cat_wavefunction_normalized(self):
-        psi = TargetState.four_cat(1.6).wavefunction()
+        psi = TargetState.four_cat(1.6).wavefunction
         xs = np.linspace(-10, 10, 4001)
         assert np.trapezoid(np.abs(psi(xs)) ** 2, xs) == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_amplitude_cat_allowed(self):
         t = TargetState.cat(0.0, 1)
-        assert t.wigner()(0.0, 0.0) > 0.0
+        assert target_wigner(t, 0.0, 0.0) > 0.0
 
     def test_bad_targets_rejected(self):
         with pytest.raises(DomainError):
@@ -85,6 +93,15 @@ class TestTargets:
         for alpha in (0.0, 1e-9):       # an odd cat without norm: its fidelity would be NaN
             with pytest.raises(DomainError):
                 TargetState.cat(alpha, -1)
+        # a non-integer index scored as Fock-2, a non-finite parameter built NaN terms
+        fock, cat, four_cat, inf, nan = (TargetState.fock, TargetState.cat,
+                                         TargetState.four_cat, math.inf, math.nan)
+        for make in (lambda: fock(2.7), lambda: fock(nan), lambda: fock(2, squeeze_db=inf),
+                     lambda: fock(2, squeeze_db=nan), lambda: cat(nan), lambda: cat(inf),
+                     lambda: cat(1.0, lobe_var=nan), lambda: cat(1.0, lobe_var=inf),
+                     lambda: four_cat(nan), lambda: four_cat(inf)):
+            with pytest.raises(DomainError):
+                make()
 
 
 class TestFidelity:
@@ -167,17 +184,17 @@ class TestExactFidelity:
 
 
 class TestBatchedOverlap:
-    @pytest.mark.parametrize("target", [
-        TargetState.cat(1.3, 1, lobe_var=0.3, axis="p"),
-        TargetState.four_cat(1.6),
-        TargetState.fock(2, squeeze_db=-2.0)], ids=["cat", "four-cat", "fock"])
-    def test_groups_equal_sum_of_single_terms(self, target):
+    @pytest.mark.parametrize("target, n_terms", [
+        (TargetState.cat(1.3, 1, lobe_var=0.3, axis="p"), 4),
+        (TargetState.four_cat(1.6), 16),
+        (TargetState.fock(2, squeeze_db=-2.0), 1)], ids=["cat", "four-cat", "fock"])
+    def test_groups_equal_sum_of_single_terms(self, target, n_terms):
         from cvngs.phase_space import overlap_terms
         W, _ = measured_state(1.0)
         singles = sum(overlap_terms(W, [(w[k:k + 1], m[k:k + 1], cov, poly)])
                       for w, m, cov, poly in target.terms for k in range(len(w)))
         assert len(target.terms) == 1
-        assert len(target.terms[0][0]) == {"cat": 4, "four_cat": 16, "fock": 1}[target.kind]
+        assert len(target.terms[0][0]) == n_terms
         assert overlap_terms(W, target.terms) == pytest.approx(singles, rel=1e-14, abs=0.0)
 
 
@@ -311,29 +328,29 @@ class TestCatSize:
     def test_pipeline_cat_sizes(self):
         for xi in (0.0, 1.0):
             W, _ = pipeline_state(xi, gamma=0.0)
-            a2 = cat_size(W)
+            a2 = cat_fit(W).alpha2
             assert a2 == pytest.approx(2.0, abs=0.25)
 
     def test_no_cat_structure(self):
         W = marginal(gaussian_wigner(initial_covariance(0.0, 1.0)), [0, 1])
-        assert cat_size(W) is None
+        assert cat_fit(W) is None
 
 
 class TestSqueezingAndParity:
     def test_vacuum_zero_db(self):
         W = marginal(gaussian_wigner(initial_covariance(0.0, 1.0)), [0, 1])
-        est = squeezing_estimate(W)
+        est = score_state(W).method_tags["squeeze"]
         assert abs(est["min_var_db"]) < 1e-6
 
     def test_squeezed_gaussian(self):
         V = initial_covariance(0.0, 10 ** -0.3)
         W = marginal(gaussian_wigner(V), [2, 3])
-        est = squeezing_estimate(W)
+        est = score_state(W).method_tags["squeeze"]
         assert est["min_var_db"] == pytest.approx(-3.0, abs=1e-6)
 
     def test_sigma_prescriptions(self):
         W = marginal(gaussian_wigner(initial_covariance(0.0, 1.0)), [0, 1])
-        est = squeezing_estimate(W, sigma11=1.6)
+        est = score_state(W, sigma11=1.6).method_tags["squeeze"]
         assert est["sigma_fock_db"] == pytest.approx(-10 * math.log10(1.6))
         assert est["sigma_cat_db"] == pytest.approx(-10 * math.log10(3.2))
 
@@ -356,7 +373,9 @@ class TestSqueezingAndParity:
         g = GridSpec(-16.0, 16.0, 801)
         field, _ = evaluate_grid(W, g)
         ax, h = g.axis, g.step
-        for var, m in zip(quadrature_variances(W), (field.sum(axis=1) * h, field.sum(axis=0) * h)):
+        sq = score_state(W).method_tags["squeeze"]
+        for var, m in zip((sq["var_x"], sq["var_p"]),
+                          (field.sum(axis=1) * h, field.sum(axis=0) * h)):
             ref = np.sum(m * ax ** 2) * h - (np.sum(m * ax) * h) ** 2
             assert var == pytest.approx(ref, abs=1e-8)
 
@@ -379,6 +398,15 @@ class TestScoreState:
         assert set(d) == {"F", "delta", "alpha2", "squeeze_dB", "parity",
                           "method_tags"}
 
+    def test_subnormal_marginal_is_numerical_domain(self):
+        # the X marginal of this state has a 4.8e-319 coefficient: the lobe
+        # reader's root finder cannot build its companion matrix
+        from cvngs.cli import _eps_state
+        W = _eps_state({"channel": {"eta": 1e-300}, "pulse": {"R": 1e-12},
+                        "stages": [{"g_linear": 1e-06, "n": 2}]})[2]
+        with pytest.raises(NumericalDomainError, match="marginal critical points"):
+            score_state(W)
+
     def test_metrics_render_nothing(self, monkeypatch):
         import cvngs.metrics_targets as mt
         import cvngs.phase_space as ps
@@ -389,8 +417,9 @@ class TestScoreState:
         for module in (ps, mt):
             monkeypatch.setattr(module, "evaluate_grid", no_grid, raising=False)
         W, sig = pipeline_state(1.0, gamma=1.6)
-        assert score_state(W, n=2, sigma11=sig.s11).alpha2 is not None
-        assert cat_fit(W).axis == "p" and cat_size(W) > 1.0
-        assert min(quadrature_variances(W)) > 0.0
-        assert "lobe_db" in squeezing_estimate(W, n=2)
+        m = score_state(W, n=2, sigma11=sig.s11)
+        assert m.alpha2 is not None
+        assert cat_fit(W).axis == "p" and cat_fit(W).alpha2 > 1.0
+        sq = m.method_tags["squeeze"]
+        assert min(sq["var_x"], sq["var_p"]) > 0.0 and "lobe_db" in sq
         assert best_cat_fidelity(W, "p")[0] > 0.5

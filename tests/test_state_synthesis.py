@@ -276,12 +276,13 @@ class TestFourCat:
 
     def test_cat_direction_selection(self):
         # Var(P_M) > Var(X_M) on the xi=1 branch and vice versa at R=0.9
-        from cvngs import quadrature_variances
+        from cvngs import score_state
         V = pulsed()
         sig = sigma_from_cov(V)
         for xi, bigger in ((1.0, "p"), (0.0, "x")):
             W = eps_pipeline(V, PipelineSpec(stages=(EpsStage(solve_gain(sig, xi), 2),)))
-            vx, vp = quadrature_variances(W)
+            sq = score_state(W).method_tags["squeeze"]
+            vx, vp = sq["var_x"], sq["var_p"]
             assert (vp > vx) == (bigger == "p")
 
     def test_fidelity_in_squeezing_frame(self):
