@@ -23,7 +23,7 @@ from .phase_space import (GridSpec, MultiPoly, PolyGaussian, amplify_wigner,
                           overlap, project_XC, qn_polynomial, subtract_photon,
                           wigner_negativity)
 from .pulse_dynamics import (PulseSpec, SystemParams, correlation_sweep,
-                             covariance_after_pulse, effective_rates)
+                             covariance_after_pulse)
 from .state_synthesis import (EpsStage, MeasurementSpec, PipelineSpec,
                               WavefunctionXM, conversion_rate_gamma,
                               dark_count_mix, db_to_linear, eps_pipeline,

@@ -12,9 +12,7 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,16 +20,17 @@ import numpy as np
 from . import __version__
 from .exceptions import CvngsError, DomainError
 from .fock_oracle import DEFAULT_TRUNCATION, run_eps_oracle, wigner_from_density
-from .gaussian_core import (CONVENTION_TAG, SigmaMatrix, amplifier_map,
-                            epr_steering_MtoC, logarithmic_negativity,
-                            loss_channel_cov, loss_channel_sigma, sigma_from_cov)
+from .gaussian_core import (CONVENTION_TAG, SigmaMatrix, amplifier_block,
+                            apply_symplectic, epr_steering_MtoC,
+                            logarithmic_negativity, loss_channel_cov,
+                            loss_channel_sigma, sigma_from_cov)
 from .metrics_targets import (TargetState, best_cat_fidelity,
                               best_fock_fidelity, score_state)
 from .phase_space import GridSpec, evaluate_grid
 from .pulse_dynamics import (PulseSpec, SystemParams, correlation_sweep,
                              covariance_after_pulse)
 from .state_synthesis import (EpsStage, MeasurementSpec, PipelineSpec,
-                              eps_pipeline, four_cat_pipeline,
+                              db_to_linear, eps_pipeline, four_cat_pipeline,
                               four_cat_wavefunction,
                               imperfect_wigner_closed_form, linear_to_db,
                               solve_gain, xi_from_gain)
@@ -111,13 +110,13 @@ def validate_manifest(manifest: dict) -> dict:
     grid = manifest.get("grid", {})
     if not grid.get("xmax", GridSpec.xmax) > grid.get("xmin", GridSpec.xmin):
         raise ManifestError("grid: xmax must exceed xmin")
-    if manifest["command"] == "oracle" and manifest.get("measurement", {}).get("theta", 0.0):
-        raise ManifestError("measurement.theta: the Fock oracle runs at theta = 0 only")
-    if manifest["command"] == "oracle" and any(st.get("n_A") for st in manifest.get("stages", ())):
-        raise ManifestError("stages.n_A: the Fock oracle runs at n_A = 0 only")
-    fig = manifest.get("figure", {})
-    if "mu" in fig and fig.get("which", "all") not in ("all", *_MU_FIGURES):
-        raise ManifestError(f"figure.mu: read by fig3c/d only, not by {fig['which']}")
+    if manifest["command"] == "oracle":
+        if "stages" in manifest and len(stages) != 1:
+            raise ManifestError("stages: the Fock oracle runs single-stage pipelines")
+        if manifest.get("measurement", {}).get("theta", 0.0):
+            raise ManifestError("measurement.theta: the Fock oracle runs at theta = 0 only")
+        if any(st.get("n_A") for st in stages):
+            raise ManifestError("stages.n_A: the Fock oracle runs at n_A = 0 only")
     return manifest
 
 
@@ -151,7 +150,7 @@ def _stages_of(manifest, sigma) -> tuple[EpsStage, ...]:
     out = []
     for st in manifest.get("stages", [{"xi": 0.5, "n": 2}]):
         if "g_db" in st:
-            g = 10.0 ** (st["g_db"] / 10.0)
+            g = db_to_linear(st["g_db"])
         elif "g_linear" in st:
             g = st["g_linear"]
         else:
@@ -226,16 +225,6 @@ def _curve(outdir: Path, name: str, header: list[str], rows, title: str,
     (outdir / f"{name}.gp").write_text(
         f'set title "{title}"\nset datafile separator ","\nplot {plots}\n')
     return [f"{name}.csv", f"{name}.gp"]
-
-
-def _golden_check(outdir: Path, artifacts: list[str]) -> dict | None:
-    golden = os.environ.get("CVNGS_GOLDEN_DIR")
-    if not golden:
-        return None
-    refs = {name: Path(golden) / name for name in artifacts}
-    return {name: "missing" if not ref.exists() else "equal"
-            if ref.read_bytes() == (outdir / name).read_bytes() else "different"
-            for name, ref in refs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +313,6 @@ def cmd_oracle(manifest, outdir):
     params, pulse, _, sigma = _gaussian_of(manifest)
     grid = _grid_of(manifest)
     spec = _pipeline_of(manifest, sigma)
-    if len(spec.stages) != 1:
-        raise DomainError("the Fock oracle runs single-stage pipelines")
     stage, meas = spec.stages[0], spec.measurement
     trunc = manifest.get("oracle", {}).get("truncation", DEFAULT_TRUNCATION)
     st = run_eps_oracle(params, pulse, stage.g_A, stage.n,
@@ -341,7 +328,7 @@ def cmd_oracle(manifest, outdir):
 
 
 # ---------------------------------------------------------------------------
-# figures catalog: FIGURES maps each id to a builder(fid, outdir, overrides)
+# figures catalog: FIGURES maps each id to a builder(fid, outdir)
 # that writes the figure's artifacts and returns their names
 
 
@@ -352,15 +339,15 @@ def _eps_map(R, rule=None, g=1.0, **manifest):
     stage = {"g_linear": g} if rule is None else {"xi": _XI[rule]}
     manifest = dict(manifest, pulse={"R": R}, stages=[stage])
 
-    def build(fid, outdir, overrides):
+    def build(fid, outdir):
         return _render(outdir, fid, _eps_state(manifest)[2], GridSpec(), fid)[1]
     return build
 
 
 def _curve_figure(rows, header, title, columns):
-    """Builder of a curve figure whose CSV rows are rows(fid, overrides)."""
-    def build(fid, outdir, overrides):
-        return _curve(outdir, fid, header, rows(fid, overrides), title, columns)
+    """Builder of a curve figure whose CSV rows are rows(fid)."""
+    def build(fid, outdir):
+        return _curve(outdir, fid, header, rows(fid), title, columns)
     return build
 
 
@@ -375,20 +362,20 @@ def _correlation_figure(gamma, n_r, title, columns):
     from the entanglement-sweep rows."""
     header = ["R", "S_in_dB", "E_N", "steering_MC"]
 
-    def rows(fid, overrides):
+    def rows(fid):
         sweep = correlation_sweep(SystemParams(3.0, 7.0, gamma),
                                   np.linspace(0.02, 0.995, n_r), (-6.0, -3.0))
         return ([r[k] for k in header] for r in sweep)
     return _curve_figure(rows, header, title, columns)
 
 
-def _gain_rows(fid, overrides):
+def _gain_rows(fid):
     for r in np.linspace(0.05, 0.995, 120):
         sigma = sigma_from_cov(_V(1.6, float(r)))
         yield (float(r), *(linear_to_db(solve_gain(sigma, _XI[k])) for k in "pFx"))
 
 
-def _cooperativity_rows(fid, overrides):
+def _cooperativity_rows(fid):
     """Quality vs 1/C_om at R = 0.5: (a) P-cat, (b) Fock."""
     for inv_c in np.linspace(0.05, 2.5, 18):
         sigma, _, W = _eps_state({"params": {"gamma_mhz": inv_c * 9.0 / 7.0},
@@ -400,12 +387,12 @@ def _cooperativity_rows(fid, overrides):
                m.alpha2 if m.alpha2 is not None else float("nan"))
 
 
-def _efficiency_rows(fid, overrides):
+def _efficiency_rows(fid):
     """Quality vs total detection efficiency Gamma = eta + mu.
 
-    The split is ambiguous, so mu stays fixed (default 0.8, manifest-overridable)
-    and eta is swept; the split is recorded in every row."""
-    mu = overrides.get("mu", 0.8)
+    The split is ambiguous, so mu stays fixed at 0.8 and eta is swept; the split
+    is recorded in every row."""
+    mu = 0.8
     for n_A in (0.0, 0.1):
         for eta in np.linspace(0.6, 1.0, 9):
             sigma, _, W = _eps_state({
@@ -417,8 +404,8 @@ def _efficiency_rows(fid, overrides):
                    m.alpha2 if m.alpha2 is not None else float("nan"))
 
 
-def _fig4b(fid, outdir, overrides):
-    res = four_cat_pipeline(_V(0.0, 0.9), 0.0)
+def _fig4b(fid, outdir):
+    res = four_cat_pipeline(_V(0.0, 0.9), 0.0, MeasurementSpec(eps=0.01))
     grid = GridSpec()
     field, artifacts = _render(outdir, fid, res["state"], grid, "four-component cat")
     _write_csv(outdir / f"{fid}_PX.csv", ["X_M", "P_X"],
@@ -426,7 +413,7 @@ def _fig4b(fid, outdir, overrides):
     return artifacts + [f"{fid}_PX.csv"]
 
 
-def _normalized_correlation_rows(fid, overrides):
+def _normalized_correlation_rows(fid):
     V0 = _V(0.0, 0.5)
     e0, s0 = logarithmic_negativity(V0), epr_steering_MtoC(V0)
     for c_om in np.geomspace(0.005, 10.0, 60):
@@ -434,7 +421,7 @@ def _normalized_correlation_rows(fid, overrides):
         yield float(c_om), logarithmic_negativity(V) / e0, epr_steering_MtoC(V) / s0
 
 
-def _wavefunction_rows(fid, overrides):
+def _wavefunction_rows(fid):
     sigma = sigma_from_cov(_V(0.0, 0.9))
     psi = four_cat_wavefunction(sigma, 0.0)
     lam = math.sqrt(1.0 / sigma.s11)
@@ -445,22 +432,19 @@ def _wavefunction_rows(fid, overrides):
                np.real(ideal(xs)).tolist())
 
 
-def _imperfect_correlation_rows(fid, overrides):
-    # the literal noisy-amplifier congruence is not a channel and dips below the
-    # uncertainty bound near R = 1; the figure plots it as published
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for tag, eta, n_A in (("loss", 0.9, 0.0), ("ampnoise", 1.0, 0.16)):
-            for r in np.linspace(0.02, 0.995, 120):
-                V = _V(1.6, float(r))
-                if eta < 1.0:
-                    V = loss_channel_cov(V, eta)
-                if n_A > 0:
-                    V = amplifier_map(V, 1.0, math.sqrt(1.0 + n_A) - 1.0, strict=False)
-                yield float(r), tag, logarithmic_negativity(V), epr_steering_MtoC(V)
+def _imperfect_correlation_rows(fid):
+    # ampnoise is the noisy amplifier at g = 1, n_A = 0.16: its literal congruence is
+    # not a channel and dips below the uncertainty bound near R = 1 (amplifier_map
+    # refuses it); the figure plots it unchecked, as published
+    U = np.eye(4)
+    U[2:, 2:] = amplifier_block(1.0, math.sqrt(1.16) - 1.0)
+    for tag in ("loss", "ampnoise"):
+        for r in np.linspace(0.02, 0.995, 120):
+            V = _V(1.6, float(r))
+            V = loss_channel_cov(V, 0.9) if tag == "loss" else apply_symplectic(V, U)
+            yield float(r), tag, logarithmic_negativity(V), epr_steering_MtoC(V)
 
 
-_MU_FIGURES = ("fig3c", "fig3d")     # the ids that read figure.mu
 _LOSSY = {"channel": {"eta": 0.9, "nu": 0.98}, "measurement": {"mu": 0.8}}
 
 FIGURES = {
@@ -473,7 +457,7 @@ FIGURES = {
     **dict.fromkeys(("fig3a", "fig3b"), _curve_figure(
         _cooperativity_rows, ["inv_C_om", "F", "delta", "alpha2"],
         "quality vs 1/C_om", ["F", "delta", "alpha2"])),
-    **dict.fromkeys(_MU_FIGURES, _curve_figure(
+    **dict.fromkeys(("fig3c", "fig3d"), _curve_figure(
         _efficiency_rows, ["Gamma", "eta", "mu", "n_A", "delta", "alpha2"],
         "quality vs detection efficiency", ["delta", "alpha2"])),
     "fig4b": _fig4b,
@@ -499,20 +483,18 @@ FIGURE_IDS = list(FIGURES)
 
 
 def cmd_figures(manifest, outdir):
-    overrides = dict(manifest.get("figure", {}))
-    which = overrides.pop("which", "all")
+    which = manifest.get("figure", {}).get("which", "all")
     ids = FIGURE_IDS if which == "all" else [which]
     if which != "all" and which not in FIGURES:
         raise ManifestError(f"unknown figure id {which!r}")
-    artifacts = [name for fid in ids for name in FIGURES[fid](fid, outdir, overrides)]
+    artifacts = [name for fid in ids for name in FIGURES[fid](fid, outdir)]
     for fid in ids:
-        own = {k: v for k, v in overrides.items() if k != "mu" or fid in _MU_FIGURES}
         _write_json(outdir / f"{fid}.manifest.json",
-                    {"command": "figures", "figure": dict({"which": fid}, **own)})
+                    {"command": "figures", "figure": {"which": fid}})
         artifacts.append(f"{fid}.manifest.json")
     extras = {"figures": ids}
-    if any(f in ids for f in _MU_FIGURES):
-        extras["fig3_split"] = {"mu": overrides.get("mu", 0.8), "eta": "swept"}
+    if "fig3c" in ids or "fig3d" in ids:
+        extras["fig3_split"] = {"mu": 0.8, "eta": "swept"}
     return extras, artifacts
 
 
@@ -546,13 +528,7 @@ def run(manifest: dict, outdir: Path) -> int:
         return code
     report.update(extras)
     report["artifacts"] = sorted(artifacts)
-    golden = _golden_check(outdir, artifacts)
-    if golden is not None:
-        report["golden_check"] = golden
     _write_json(outdir / "report.json", report)
-    if golden is not None and any(v != "equal" for v in golden.values()):
-        print("golden regression mismatch", file=sys.stderr)
-        return EXIT_VALIDATION
     return EXIT_OK
 
 
@@ -564,8 +540,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--manifest", type=str, default=None,
                     help="JSON manifest path (merged over the chosen command)")
     ap.add_argument("--out", type=str, default="out", help="output directory")
-    ap.add_argument("--grid", type=str, default=None,
-                    help='"xmin,xmax,n" rendering grid')
     ap.add_argument("--which", type=str, default=None,
                     help="figure id for the figures command")
     return ap
@@ -588,13 +562,6 @@ def main(argv=None) -> int:
             return EXIT_VALIDATION
     else:
         manifest = {"command": args.command}
-    if args.grid:
-        try:
-            xmin, xmax, n = args.grid.split(",")
-            manifest["grid"] = {"xmin": float(xmin), "xmax": float(xmax), "n": int(n)}
-        except ValueError:
-            print('bad --grid, expected "xmin,xmax,n"', file=sys.stderr)
-            return EXIT_VALIDATION
     if args.which:
         manifest.setdefault("figure", {})["which"] = args.which
     return run(manifest, Path(args.out))

@@ -20,10 +20,6 @@ class NumericalDomainError(CvngsError):
 class TruncationError(CvngsError):
     """Fock-space truncation too small for the requested state."""
 
-    def __init__(self, msg, suggested=None):
-        super().__init__(msg)
-        self.suggested = suggested
-
 
 class ZeroWeightError(CvngsError):
     """A conditional branch has vanishing weight (e.g. subtracting from vacuum)."""

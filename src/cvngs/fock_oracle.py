@@ -118,8 +118,7 @@ class FockState:
         tr = max(self.trace(), 1e-300)
         if pop / tr > EDGE_POP_TOL:
             raise TruncationError(
-                f"edge population {pop / tr:.2e} exceeds {EDGE_POP_TOL}",
-                suggested=2 * self.truncation)
+                f"edge population {pop / tr:.2e} exceeds {EDGE_POP_TOL}")
 
     def reduced_mechanical(self) -> "FockState":
         return FockState(amps=self.amps.reshape(self.dim, -1))
@@ -231,15 +230,12 @@ def _two_mode(state: FockState, what: str):
         raise DomainError(f"{what} acts on the two-mode state")
 
 
-def apply_amplifier(state: FockState, g_quad: float, n_quad: float = 0.0) -> FockState:
-    """Quadrature squeeze X_C -> g X_C; the noisy congruence has no unitary
-    dilation (non-CP), so n_quad > 0 is rejected."""
+def apply_amplifier(state: FockState, g_quad: float) -> FockState:
+    """Quadrature squeeze X_C -> g X_C.  The noiseless amplifier only: the noisy
+    congruence has no unitary dilation (it is not completely positive)."""
     _two_mode(state, "amplifier")
     if g_quad <= 0:
         raise DomainError(f"gain must be positive, got {g_quad}")
-    if n_quad != 0.0:
-        raise DomainError("oracle amplifier supports n_A = 0 only "
-                          "(the noisy map is not completely positive)")
     S = _squeeze_unitary(state.dim, -math.log(g_quad))
     out = FockState(amps=_on_c(S, state.amps))
     out.check_edge_population()

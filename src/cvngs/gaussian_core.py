@@ -145,11 +145,11 @@ def cov_from_sigma(sigma: SigmaMatrix) -> CovMatrix:
     return CovMatrix(0.5 * _inv_with_condition_report(sigma.entries, "cov_from_sigma"))
 
 
-def initial_covariance(n_m: float, squeeze: SqueezeSpec | float) -> CovMatrix:
-    """Pre-pulse covariance: thermal mechanics x squeezed optical input."""
+def initial_covariance(n_m: float, s: float) -> CovMatrix:
+    """Pre-pulse covariance: thermal mechanics x optical input whose X variance
+    is squeezed by the linear factor s."""
     if n_m < 0:
         raise DomainError(f"thermal occupation must be >= 0, got {n_m}")
-    s = squeeze.linear if isinstance(squeeze, SqueezeSpec) else float(squeeze)
     if not s > 0:
         raise DomainError(f"squeezing factor must be positive, got {s}")
     occ = 1.0 + 2.0 * n_m
@@ -183,15 +183,14 @@ def amplifier_block(g_quad: float, n_quad: float = 0.0) -> np.ndarray:
     return np.diag([g_quad, (1.0 + n_quad) / g_quad])
 
 
-def amplifier_map(V: CovMatrix, g_quad: float, n_quad: float = 0.0,
-                  strict: bool = True) -> CovMatrix:
+def amplifier_map(V: CovMatrix, g_quad: float, n_quad: float = 0.0) -> CovMatrix:
     """Apply the (noisy) amplifier congruence on the optical mode.
 
     For n_quad = 0 this is the symplectic squeeze diag(g, 1/g) and always maps
     physical states to physical states.  For n_quad > 0 it is the literal
     non-symplectic prescription, which is not a quantum channel and can push
-    near-pure entangled states slightly below the uncertainty bound; that is
-    surfaced as an error (strict=True, default) or a warning (strict=False).
+    near-pure entangled states slightly below the uncertainty bound, which
+    raises NumericalDomainError.
     """
     U = np.eye(4)
     U[2:, 2:] = amplifier_block(g_quad, n_quad)
@@ -199,11 +198,8 @@ def amplifier_map(V: CovMatrix, g_quad: float, n_quad: float = 0.0,
     if n_quad > 0.0:
         ok, nu = check_physical(out)
         if not ok:
-            msg = (f"noisy amplifier output unphysical "
-                   f"(min symplectic eigenvalue {nu:.6f} < 1/2)")
-            if strict:
-                raise NumericalDomainError(msg)
-            warnings.warn(msg, RuntimeWarning, stacklevel=2)
+            raise NumericalDomainError(f"noisy amplifier output unphysical "
+                                       f"(min symplectic eigenvalue {nu:.6f} < 1/2)")
     return out
 
 

@@ -25,6 +25,7 @@ from .phase_space import (MultiPoly, PolyGaussian, _expect, _hermite_functions,
 
 SQRT2 = math.sqrt(2.0)
 CAT_NORM_MIN = 1e-6    # least 1 + parity e^(-2 alpha^2): below, an odd cat's terms cancel
+FOCK_MAX = 170         # 171! overflows a double
 _ONE = MultiPoly.constant(2)
 
 
@@ -68,10 +69,17 @@ def _fock(n: int, lam: float) -> tuple:
                              / math.sqrt(lam))
 
 
-def _require_finite(**values) -> None:
-    for name, v in values.items():
-        if not math.isfinite(v):
-            raise DomainError(f"{name} must be finite, got {v}")
+def _finite(build, **params) -> tuple:
+    """build() -> (terms, psi), or DomainError where params drive the terms out of
+    double precision: a non-finite parameter, or a finite one so large it overflows."""
+    try:
+        with np.errstate(all="ignore"):
+            terms, psi = build()
+    except ArithmeticError as exc:      # OverflowError, ZeroDivisionError of float math
+        raise DomainError(f"target parameters {params} overflow: {exc}") from None
+    if not all(np.isfinite(a).all() for w, m, c, poly in terms for a in (w, m, c, poly.coef)):
+        raise DomainError(f"target parameters {params} give non-finite terms")
+    return terms, psi
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +100,6 @@ class TargetState:
             axis: str = "x") -> "TargetState":
         """Squeezed cat S(|a> + parity |-a>); lobe_var is the absolute marginal
         variance of each lobe along the cat axis (vacuum: 1/2)."""
-        _require_finite(alpha=alpha, lobe_var=lobe_var)
         if alpha < 0 or lobe_var <= 0:
             raise DomainError("cat amplitude must be >= 0 and lobe variance positive")
         if parity not in (+1, -1):
@@ -103,28 +110,27 @@ class TargetState:
             raise DomainError(f"odd cat at alpha = {alpha} has a vanishing norm")
         a, lam, coeffs = float(alpha), math.sqrt(2.0 * lobe_var), [1.0, float(parity)]
         # a P cat is |i a> + parity |-i a> squeezed along p: x is scaled by 1/lam
-        if axis == "x":
-            return cls(*_coherent([a, -a], coeffs, lam))
-        return cls(*_coherent([1j * a, -1j * a], coeffs, 1.0 / lam))
+        alphas, scale = ([a, -a], lam) if axis == "x" else ([1j * a, -1j * a], 1.0 / lam)
+        return cls(*_finite(lambda: _coherent(alphas, coeffs, scale),
+                            alpha=alpha, lobe_var=lobe_var))
 
     @classmethod
     def fock(cls, n: int, squeeze_db: float = 0.0) -> "TargetState":
         """Squeezed Fock state; squeeze_db scales the X variance by 10^(db/10)."""
-        _require_finite(squeeze_db=squeeze_db)
+        if not 0 <= n <= FOCK_MAX:     # exact for any int, false for NaN
+            raise DomainError(f"Fock index must lie in [0, {FOCK_MAX}], got {n}")
         if not float(n).is_integer():
             raise DomainError(f"Fock index must be an integer, got {n}")
-        if n < 0:
-            raise DomainError(f"Fock index must be >= 0, got {n}")
-        return cls(*_fock(int(n), 10.0 ** (float(squeeze_db) / 20.0)))
+        return cls(*_finite(lambda: _fock(int(n), 10.0 ** (float(squeeze_db) / 20.0)),
+                            squeeze_db=squeeze_db))
 
     @classmethod
     def four_cat(cls, alpha0: float) -> "TargetState":
         """Equal superposition of coherent states at alpha0 e^{i(2k-1)pi/4}."""
-        _require_finite(alpha0=alpha0)
         if alpha0 < 0:
             raise DomainError(f"amplitude must be >= 0, got {alpha0}")
         alphas = [float(alpha0) * np.exp(1j * (2 * k - 1) * math.pi / 4.0) for k in range(1, 5)]
-        return cls(*_coherent(alphas, [1.0] * 4, 1.0))
+        return cls(*_finite(lambda: _coherent(alphas, [1.0] * 4, 1.0), alpha0=alpha0))
 
 
 # ---------------------------------------------------------------------------

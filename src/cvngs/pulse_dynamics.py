@@ -94,11 +94,6 @@ class PulseSpec:
         return 1.0 - self.R
 
 
-def effective_rates(params: SystemParams) -> tuple[float, float]:
-    """(G/2pi in MHz, cooperativity C_om)."""
-    return params.G_mhz, params.cooperativity
-
-
 def covariance_after_pulse(params: SystemParams, pulse: PulseSpec) -> CovMatrix:
     """Two-mode covariance of (M_out, C_out) after the pulsed interaction.
 
@@ -109,7 +104,7 @@ def covariance_after_pulse(params: SystemParams, pulse: PulseSpec) -> CovMatrix:
     s = params.squeeze.linear
     occ = 1.0 + 2.0 * params.n_m
     if R == 1.0:
-        return initial_covariance(params.n_m, params.squeeze)
+        return initial_covariance(params.n_m, s)
 
     r1 = params.g_mhz ** 2 / (params.kappa_mhz * params.G_mhz)
     r2 = params.gamma_mhz / params.G_mhz

@@ -291,8 +291,7 @@ def four_cat_gains(sigma: SigmaMatrix, xi1: float) -> tuple[float, float]:
     return g1, g2
 
 
-def four_cat_pipeline(V: CovMatrix, xi1: float,
-                      measurement: MeasurementSpec | None = None) -> dict:
+def four_cat_pipeline(V: CovMatrix, xi1: float, measurement: MeasurementSpec) -> dict:
     """Two cascaded 2-photon EPS stages tuned to the four-component-cat condition.
 
     Returns the mechanical state, the stage gains, and fidelities against the
@@ -302,7 +301,6 @@ def four_cat_pipeline(V: CovMatrix, xi1: float,
     """
     from .metrics_targets import TargetState, fidelity
 
-    measurement = measurement or MeasurementSpec(eps=0.01)
     sigma = sigma_from_cov(V)
     g1, g2 = four_cat_gains(sigma, xi1)
     spec = PipelineSpec(stages=(EpsStage(g1, 2), EpsStage(g2, 2)),

@@ -52,7 +52,7 @@ def track(W):
 class TestCriterion1Rates:
     def test_rates_and_durations(self):
         p = params()
-        G, C = cv.effective_rates(p)
+        G, C = p.G_mhz, p.cooperativity
         tau09 = cv.PulseSpec(0.9).tau_s(p)
         tau05 = cv.PulseSpec(0.5).tau_s(p)
         checks = {

@@ -25,20 +25,22 @@ def pulsed_V(R=0.5, db=-6.0, gamma=1.6, n_m=0.0):
 
 class TestInitialCovariance:
     def test_vacuum(self):
-        V = initial_covariance(0.0, SqueezeSpec(1.0))
+        V = initial_covariance(0.0, 1.0)
         assert np.allclose(V.entries, np.eye(4) / 2)
 
     def test_minus6db_optical_block(self):
-        V = initial_covariance(0.0, SqueezeSpec.from_db(-6.0))
+        V = initial_covariance(0.0, SqueezeSpec.from_db(-6.0).linear)
         assert np.allclose(np.diag(V.V_C), [0.12559432, 1.99053585], atol=1e-7)
 
     def test_thermal_mechanical_block(self):
-        V = initial_covariance(0.05, SqueezeSpec(0.5012))
+        V = initial_covariance(0.05, 0.5012)
         assert np.allclose(V.V_M, 0.55 * np.eye(2))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
-            initial_covariance(-0.1, SqueezeSpec(1.0))
+            initial_covariance(-0.1, 1.0)
+        with pytest.raises(DomainError):
+            initial_covariance(0.0, 0.0)
         with pytest.raises(DomainError):
             SqueezeSpec(0.0)
 
@@ -93,7 +95,7 @@ class TestSymplecticAndAmplifier:
 
 class TestEntanglementMeasures:
     def test_product_state_not_entangled(self):
-        V = initial_covariance(0.3, SqueezeSpec.from_db(-6.0))
+        V = initial_covariance(0.3, SqueezeSpec.from_db(-6.0).linear)
         assert logarithmic_negativity(V) < 1e-12
         assert epr_steering_MtoC(V) < 1e-12
 

@@ -93,13 +93,16 @@ class TestTargets:
         for alpha in (0.0, 1e-9):       # an odd cat without norm: its fidelity would be NaN
             with pytest.raises(DomainError):
                 TargetState.cat(alpha, -1)
-        # a non-integer index scored as Fock-2, a non-finite parameter built NaN terms
+        # a non-integer index scored as Fock-2, a non-finite parameter built NaN terms,
+        # a huge finite one raised OverflowError or built NaN terms
         fock, cat, four_cat, inf, nan = (TargetState.fock, TargetState.cat,
                                          TargetState.four_cat, math.inf, math.nan)
         for make in (lambda: fock(2.7), lambda: fock(nan), lambda: fock(2, squeeze_db=inf),
                      lambda: fock(2, squeeze_db=nan), lambda: cat(nan), lambda: cat(inf),
                      lambda: cat(1.0, lobe_var=nan), lambda: cat(1.0, lobe_var=inf),
-                     lambda: four_cat(nan), lambda: four_cat(inf)):
+                     lambda: four_cat(nan), lambda: four_cat(inf), lambda: cat(1e200),
+                     lambda: fock(2, squeeze_db=1e4), lambda: fock(10 ** 400),
+                     lambda: four_cat(1e200)):
             with pytest.raises(DomainError):
                 make()
 

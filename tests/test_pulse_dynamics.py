@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from cvngs import (PulseSpec, SystemParams, correlation_sweep,
-                   covariance_after_pulse, effective_rates,
-                   epr_steering_MtoC, initial_covariance,
-                   logarithmic_negativity)
+                   covariance_after_pulse, epr_steering_MtoC,
+                   initial_covariance, logarithmic_negativity)
 from cvngs.exceptions import DomainError
 
 def params(db=-6.0, gamma=1.6, n_m=0.0):
@@ -16,12 +15,14 @@ def params(db=-6.0, gamma=1.6, n_m=0.0):
 
 class TestRates:
     def test_effective_decay_and_cooperativity(self):
-        G, C = effective_rates(params())
+        p = params()
+        G, C = p.G_mhz, p.cooperativity
         assert abs(G - (9.0 / 7.0 + 1.6)) < 1e-12
         assert abs(C - 9.0 / (7.0 * 1.6)) < 1e-12
 
     def test_zero_gamma_infinite_cooperativity(self):
-        G, C = effective_rates(params(gamma=0.0))
+        p = params(gamma=0.0)
+        G, C = p.G_mhz, p.cooperativity
         assert G == pytest.approx(9.0 / 7.0)
         assert math.isinf(C)
 
@@ -61,7 +62,7 @@ class TestCovarianceAfterPulse:
         p = params(n_m=0.1)
         V = covariance_after_pulse(p, PulseSpec(1.0))
         assert np.allclose(V.entries,
-                           initial_covariance(0.1, p.squeeze).entries)
+                           initial_covariance(0.1, p.squeeze.linear).entries)
 
     def test_swap_limit(self):
         # gamma=0, R -> 0 transfers the squeezed pulse onto the mechanics
@@ -93,7 +94,7 @@ class TestCovarianceAfterPulse:
         # V_MC vanishes only as sqrt(T), so compare very close to R = 1
         p = params()
         V = covariance_after_pulse(p, PulseSpec(1.0 - 1e-13))
-        assert np.abs(V.entries - initial_covariance(0.0, p.squeeze).entries).max() < 1e-6
+        assert np.abs(V.entries - initial_covariance(0.0, p.squeeze.linear).entries).max() < 1e-6
 
     def test_no_interaction_no_correlation(self):
         V = covariance_after_pulse(params(), PulseSpec(1.0 - 1e-12))

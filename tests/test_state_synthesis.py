@@ -287,7 +287,7 @@ class TestFourCat:
 
     def test_fidelity_in_squeezing_frame(self):
         V = pulsed(gamma=0.0)
-        res = four_cat_pipeline(V, 0.0)
+        res = four_cat_pipeline(V, 0.0, MeasurementSpec(eps=0.01))
         assert res["fidelity"] == pytest.approx(0.975, abs=0.01)
         assert res["fidelity_lab"] < res["fidelity"]
 
