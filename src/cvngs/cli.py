@@ -117,6 +117,9 @@ def validate_manifest(manifest: dict) -> dict:
             raise ManifestError("measurement.theta: the Fock oracle runs at theta = 0 only")
         if any(st.get("n_A") for st in stages):
             raise ManifestError("stages.n_A: the Fock oracle runs at n_A = 0 only")
+        if manifest.get("params", {}).get("gamma_mhz") != 0:
+            raise ManifestError("params.gamma_mhz: the Fock oracle runs at gamma_mhz = 0 only "
+                                "(the default is 1.6)")
     return manifest
 
 

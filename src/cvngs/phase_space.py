@@ -11,7 +11,10 @@ itself exactly; grids are only a rendering step.
 poly is a dense coefficient tensor, one axis per variable.  Every affine change
 of variables (shift, amplifier, rotation, the marginal's decoupling shear) runs
 through one kernel, `_compose_axis`, a one-variable Horner substitution; a
-general linear map is LU-factored into such steps.  Gaussian integrals sum the
+general linear map is LU-factored into such steps, each run only on the box
+its accumulator's degree can fill (bit-identical to the full box).  Photon
+subtraction builds each first derivative once; its weight stays in `norm`, and
+`eps_pipeline` checks it once per stage.  Gaussian integrals sum the
 coefficients against a table of raw moments, batched over means.
 """
 
@@ -131,7 +134,11 @@ def _compose_axis(coef: np.ndarray, i: int, const: float, own: float,
                   others) -> np.ndarray:
     """Coefficients of p after u_i -> const + own u_i + sum_(j != i) others_j u_j,
     by Horner's rule in u_i: acc <- acc * (that linear form) + c_k, with c_k the
-    slab of u_i^k.  The result keeps the arity; no axis outgrows the degree."""
+    slab of u_i^k.  The result keeps the arity; no axis outgrows the degree.
+    After the step for u_i^k acc has total degree <= deg - k, so that step runs
+    in place on the box min(shape_j, deg - k + 1), and steps with k > deg are
+    skipped: every non-zero coefficient sees the full-box operations, and the
+    zeros beyond the degree are left alone."""
     grow = [j for j in range(coef.ndim) if j != i and others[j] != 0.0]
     if const == 0.0 and own == 1.0 and not grow:
         return coef
@@ -140,14 +147,22 @@ def _compose_axis(coef: np.ndarray, i: int, const: float, own: float,
     for j in grow:
         shape[j] = max(shape[j], min(shape[j] + coef.shape[i] - 1, deg + 1))
     acc = np.zeros(shape)
-    slab = tuple(map(slice, coef.shape[:i] + (1,) + coef.shape[i + 1:]))
-    for k in reversed(range(coef.shape[i])):
-        new = const * acc
-        new[_along(i, slice(1, None))] += own * acc[_along(i, slice(-1))]
-        for j in grow:
-            new[_along(j, slice(1, None))] += others[j] * acc[_along(j, slice(-1))]
-        new[slab] += coef[_along(i, slice(k, k + 1))]
-        acc = new
+    terms = [(i, own)] + [(j, others[j]) for j in grow]
+    for k in reversed(range(min(coef.shape[i], deg + 1))):
+        e = deg - k + 1                 # this step's box edge; the last step's is e - 1
+        last = [slice(min(s, e - 1)) for s in shape]     # acc is zero outside it
+        shifted = []
+        for j, w in terms:              # w u_j times the last acc, cut to this box
+            src, dst, n = list(last), list(last), min(shape[j], e) - 1
+            src[j], dst[j] = slice(n), slice(1, n + 1)
+            shifted.append((tuple(dst), w * acc[tuple(src)]))
+        acc[tuple(last)] *= const
+        for dst, t in shifted:
+            acc[dst] += t
+        slab = [slice(min(c, e)) for c in coef.shape]
+        src = list(slab)
+        slab[i], src[i] = slice(1), slice(k, k + 1)
+        acc[tuple(slab)] += coef[tuple(src)]
     return acc
 
 
@@ -288,10 +303,18 @@ def subtract_photon(W: PolyGaussian) -> PolyGaussian:
 
     x = MultiPoly.variable(n, XC)
     pp = MultiPoly.variable(n, PC)
-    acc = (x * x + pp * pp + MultiPoly.constant(n)) * p
-    acc = acc + x * d(p, XC) + pp * d(p, PC)
-    acc = acc + d(d(p, XC), XC).scale(0.25) + d(d(p, PC), PC).scale(0.25)
-    return PolyGaussian(W.cov, W.mean, acc.scale(0.5), W.norm)
+    dx, dp = d(p, XC), d(p, PC)
+    # 0.5 [(x^2 + p^2 + 1) p + x d_x p + p d_p p + (d_x d_x p + d_p d_p p) / 4],
+    # summed left to right into one array; u_k d_k p is d_k p one step up axis k
+    at, zero = np.eye(n, dtype=int), np.zeros(n, dtype=int)
+    parts = [(((x * x + pp * pp + MultiPoly.constant(n)) * p).coef, zero),
+             (dx.coef, at[XC]), (dp.coef, at[PC]),
+             (d(dx, XC).coef * 0.25, zero), (d(dp, PC).coef * 0.25, zero)]
+    acc = np.zeros(np.max([np.add(c.shape, o) for c, o in parts], axis=0))
+    for c, o in parts:
+        acc[tuple(map(slice, o, np.add(o, c.shape)))] += c
+    acc *= 0.5
+    return PolyGaussian(W.cov, W.mean, MultiPoly(acc), W.norm)
 
 
 def qn_polynomial(sigma: SigmaMatrix, n: int) -> MultiPoly:

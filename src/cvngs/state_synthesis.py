@@ -122,9 +122,11 @@ def eps_pipeline(V: CovMatrix, spec: PipelineSpec) -> PolyGaussian:
         for _ in range(stage.n):
             unheralded = joint    # a dark count fires one subtraction short
             joint = subtract_photon(joint)
-            if joint.total_mass() <= 0:
-                raise ZeroWeightError(
-                    f"zero-weight branch: subtraction in stage {k} annihilated the state")
+        # a state the annihilation operator has killed stays dead, so one check
+        # after the stage's last subtraction catches it
+        if stage.n and joint.total_mass() <= 0:
+            raise ZeroWeightError(
+                f"zero-weight branch: subtraction in stage {k} annihilated the state")
     if spec.dark_count < 1.0 and spec.stages and spec.stages[-1].n > 0:
         joint = dark_count_mix(joint, unheralded, spec.dark_count)
 

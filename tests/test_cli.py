@@ -95,6 +95,15 @@ class TestValidation:
         assert read_json(tmp_path / "report.json")["error"]["kind"] == "validation"
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
+    @pytest.mark.parametrize("params", [{}, {"gamma_mhz": 1.6}, {"gamma_mhz": 1e-9}],
+                             ids=["default", "paper", "tiny"])
+    def test_oracle_needs_gamma_zero(self, tmp_path, params):
+        # the oracle's gamma = 0 rule fails validation (exit 2), not the state build (exit 3)
+        rc = run({"command": "oracle", "params": params, "oracle": {"truncation": 12}}, tmp_path)
+        assert rc == EXIT_VALIDATION
+        assert read_json(tmp_path / "report.json")["error"]["message"].startswith(
+            "params.gamma_mhz: ")
+
     @pytest.mark.parametrize("stage", [{"g_db": 60.0}, {"g_db": -60.0},
                                        {"g_linear": 1e6}, {"g_linear": 1e-6}])
     def test_stage_gain_bounds_accepted(self, tmp_path, stage):
@@ -103,7 +112,7 @@ class TestValidation:
 
     # validation alone: an N = 80 oracle state is not built here
     @pytest.mark.parametrize("manifest", [
-        {"command": "oracle", "oracle": {"truncation": 80}},
+        {"command": "oracle", "params": {"gamma_mhz": 0}, "oracle": {"truncation": 80}},
         {"command": "eps", "stages": [{"xi": 0.5, "n": 8}]},
         {"command": "eps", "stages": [{"xi": 0.5, "n": 4}, {"g_db": 3.0, "n": 4}]},
         {"command": "eps", "stages": [{"xi": 0.5}] * 4}],
@@ -397,6 +406,10 @@ class TestMainEntry:
     def test_cli_main_roundtrip(self, tmp_path, capsys):
         rc = main(["gain-solve", "--out", str(tmp_path / "o")])
         assert rc == EXIT_OK
+
+    def test_oracle_without_manifest_fails_validation(self, tmp_path, capsys):
+        assert main(["oracle", "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert "params.gamma_mhz" in capsys.readouterr().err
 
     def test_jobs_flag_removed(self, tmp_path):
         # figures run serially; --jobs is an unknown flag, so argparse exits 2

@@ -12,6 +12,7 @@ from cvngs import (CovMatrix, EpsStage, GridSpec, MeasurementSpec, MultiPoly,
                    qn_polynomial, sigma_from_cov, subtract_photon,
                    wigner_negativity)
 from cvngs.exceptions import ContractError, DomainError
+from cvngs.phase_space import PC, XC, _along, _compose_axis, _linear, translate
 
 
 def pulsed_V(R=0.5, db=-6.0, gamma=1.6):
@@ -28,6 +29,76 @@ def fock1_wigner():
 def coeff_diff(a: MultiPoly, b: MultiPoly) -> float:
     """Largest absolute coefficient of a - b."""
     return float(np.abs((a + b.scale(-1.0)).coef).max())
+
+
+def full_box_compose(coef, i, const, own, others):
+    """Reference for `_compose_axis`: the same Horner substitution run on the
+    whole output box at every step."""
+    grow = [j for j in range(coef.ndim) if j != i and others[j] != 0.0]
+    if const == 0.0 and own == 1.0 and not grow:
+        return coef
+    deg = MultiPoly(coef).degree
+    shape = list(coef.shape)
+    for j in grow:
+        shape[j] = max(shape[j], min(shape[j] + coef.shape[i] - 1, deg + 1))
+    acc = np.zeros(shape)
+    slab = tuple(map(slice, coef.shape[:i] + (1,) + coef.shape[i + 1:]))
+    for k in reversed(range(coef.shape[i])):
+        new = const * acc
+        new[_along(i, slice(1, None))] += own * acc[_along(i, slice(-1))]
+        for j in grow:
+            new[_along(j, slice(1, None))] += others[j] * acc[_along(j, slice(-1))]
+        new[slab] += coef[_along(i, slice(k, k + 1))]
+        acc = new
+    return acc
+
+
+def reference_subtract(W):
+    """Reference for `subtract_photon`: the operator as a MultiPoly expression."""
+    ci = np.linalg.inv(W.cov)
+    p = W.poly
+
+    def d(poly, k):
+        return poly.diff(k) + _linear(ci[k] @ W.mean, -ci[k]) * poly
+
+    x, pp = MultiPoly.variable(4, XC), MultiPoly.variable(4, PC)
+    acc = (x * x + pp * pp + MultiPoly.constant(4)) * p
+    acc = acc + x * d(p, XC) + pp * d(p, PC)
+    acc = acc + d(d(p, XC), XC).scale(0.25) + d(d(p, PC), PC).scale(0.25)
+    return acc.scale(0.5)
+
+
+def random_poly(rng, nvars, deg, pad=0):
+    """Seeded polynomial of total degree deg in a box padded by `pad` beyond it."""
+    coef = np.zeros((deg + 1 + pad,) * nvars)
+    for e in np.ndindex(coef.shape):
+        if sum(e) <= deg:
+            coef[e] = rng.normal()
+    return coef
+
+
+class TestComposeAxis:
+    @pytest.mark.parametrize("nvars, deg", [(2, 5), (4, 4)])
+    @pytest.mark.parametrize("own", [0.0, 1.0, 0.7])
+    @pytest.mark.parametrize("const", [0.0, -0.45])
+    @pytest.mark.parametrize("pad", [0, 3])
+    def test_equals_full_box_horner(self, nvars, deg, own, const, pad):
+        # pad = 3 puts steps with deg - k + 1 <= 0 in the loop along every axis
+        rng = np.random.default_rng(17 * nvars + deg + pad)
+        coef = random_poly(rng, nvars, deg, pad)
+        for i in range(nvars):
+            for zero in [j for j in range(nvars) if j != i]:
+                others = rng.normal(size=nvars)
+                others[zero] = 0.0                  # an axis that does not grow
+                got = _compose_axis(coef, i, const, own, others)
+                want = full_box_compose(coef, i, const, own, others)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+
+    def test_zero_and_constant_polynomials(self):
+        for coef in (np.zeros((3, 4)), np.full((1, 1), 2.5), np.pad([[2.5]], ((0, 3), (0, 2)))):
+            got = _compose_axis(coef, 0, 0.3, 0.7, [0.0, 1.2])
+            assert np.array_equal(got, full_box_compose(coef, 0, 0.3, 0.7, [0.0, 1.2]))
 
 
 class TestMultiPoly:
@@ -130,6 +201,20 @@ class TestSubtraction:
         qn = qn_polynomial(sig, n).scale(0.5 ** n)
         scale = max(abs(c) for c in qn.terms.values())
         assert coeff_diff(W.poly, qn) < 1e-10 * scale
+
+    def test_chain_equals_operator_expression(self):
+        # a displaced, rotated kernel: every entry of cov^-1 and the mean is non-zero
+        W = translate(gaussian_wigner(pulsed_V(R=0.7)), [0.3, -0.2, 0.4, 0.1])
+        c, s = math.cos(0.4), math.sin(0.4)
+        T = np.array([[c, 0, s, 0], [0, c, 0, s], [-s, 0, c, 0], [0, -s, 0, c]])
+        T[2:, 2:] = T[2:, 2:] @ [[math.cos(0.3), math.sin(0.3)], [-math.sin(0.3), math.cos(0.3)]]
+        W = apply_linear_map(W, T)
+        assert np.all(np.linalg.inv(W.cov) != 0.0) and np.all(W.mean != 0.0)
+        for _ in range(8):
+            want = reference_subtract(W)
+            W = subtract_photon(W)
+            assert W.poly.coef.shape == want.coef.shape
+            assert np.array_equal(W.poly.coef, want.coef)
 
     def test_degree_grows_by_two(self):
         W = gaussian_wigner(pulsed_V())

@@ -170,6 +170,16 @@ class TestPipeline:
         with pytest.raises(ZeroWeightError):
             eps_pipeline(V, PipelineSpec(stages=(EpsStage(1.0, 1),)))
 
+    @pytest.mark.parametrize("stages, k", [
+        ((EpsStage(1.0, 2),), 0),
+        ((EpsStage(1.0, 0), EpsStage(1.0, 3)), 1)], ids=["stage-0", "stage-1"])
+    def test_zero_weight_names_its_stage(self, stages, k):
+        # the optical mode is vacuum: one check per stage, after its last subtraction
+        V = initial_covariance(0.0, 1.0)
+        with pytest.raises(ZeroWeightError,
+                           match=f"^zero-weight branch: subtraction in stage {k} annihilated"):
+            eps_pipeline(V, PipelineSpec(stages=stages))
+
     def test_parity_rule(self):
         # xi = 1/2 outputs have parity (-1)^n at the origin
         from cvngs import parity_indicator
