@@ -26,7 +26,7 @@ from .gaussian_core import (CONVENTION_TAG, SigmaMatrix, amplifier_block,
                             loss_channel_sigma, sigma_from_cov)
 from .metrics_targets import (TargetState, best_cat_fidelity,
                               best_fock_fidelity, score_state)
-from .phase_space import GridSpec, evaluate_grid
+from .phase_space import GridSpec, evaluate_grid, marginal
 from .pulse_dynamics import (PulseSpec, SystemParams, correlation_sweep,
                              covariance_after_pulse)
 from .state_synthesis import (EpsStage, MeasurementSpec, PipelineSpec,
@@ -410,9 +410,9 @@ def _efficiency_rows(fid):
 def _fig4b(fid, outdir):
     res = four_cat_pipeline(_V(0.0, 0.9), 0.0, MeasurementSpec(eps=0.01))
     grid = GridSpec()
-    field, artifacts = _render(outdir, fid, res["state"], grid, "four-component cat")
+    artifacts = _render(outdir, fid, res["state"], grid, "four-component cat")[1]
     _write_csv(outdir / f"{fid}_PX.csv", ["X_M", "P_X"],
-               list(zip(grid.axis, field.sum(axis=1) * grid.step)))
+               list(zip(grid.axis, marginal(res["state"], [0])(grid.axis))))
     return artifacts + [f"{fid}_PX.csv"]
 
 

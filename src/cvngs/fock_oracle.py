@@ -7,8 +7,8 @@ A state is held as a square-root factor A of its density matrix, rho = A A^dagge
 with A of shape (d, d, r) over (m, c, column) for two modes.  Every channel acts
 on the optical axis c of A at O(d^3 r) or less; no d^2 x d^2 matrix is formed.
 The noisy amplifier (n_A > 0) is not completely positive, so it is the one
-pipeline feature the oracle cannot check.  Used by tests and golden-file
-generation only; never the primary path.
+pipeline feature the oracle cannot check.  The `oracle` command and the tests
+use it as an independent cross-check; no golden file comes from it.
 """
 
 from __future__ import annotations
@@ -114,7 +114,8 @@ class FockState:
         return FockState(amps=self.amps / math.sqrt(tr))
 
     def check_edge_population(self):
-        pop = sum(float(np.vdot(e, e).real) for e in (self.amps[-1], self.amps[:, -1]))
+        edges = (np.take(self.amps, -1, axis=k) for k in range(self.n_modes))
+        pop = sum(float(np.vdot(e, e).real) for e in edges)
         tr = max(self.trace(), 1e-300)
         if pop / tr > EDGE_POP_TOL:
             raise TruncationError(

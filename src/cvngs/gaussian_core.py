@@ -40,12 +40,15 @@ class SqueezeSpec:
     linear: float
 
     def __post_init__(self):
-        if not self.linear > 0:
-            raise DomainError(f"squeezing factor must be positive, got {self.linear}")
+        if not 0 < self.linear < np.inf:
+            raise DomainError(f"squeezing factor must be positive and finite, got {self.linear}")
 
     @classmethod
     def from_db(cls, db: float) -> "SqueezeSpec":
-        return cls(10.0 ** (db / 10.0))
+        try:
+            return cls(10.0 ** (db / 10.0))
+        except OverflowError:
+            raise DomainError(f"squeezing of {db} dB overflows") from None
 
     @property
     def db(self) -> float:

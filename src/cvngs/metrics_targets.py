@@ -168,12 +168,11 @@ class CatFit:
     refined: bool        # the model fit was accepted; False: the peak-reading seed
 
 
-def _marginals(W: PolyGaussian):
-    """The exact X and P marginals m(x) = q(x) N(x; mu, s) of W, each as
+def _marginal(W: PolyGaussian, i: int) -> tuple:
+    """The exact X (i = 0) or P (i = 1) marginal m(x) = q(x) N(x; mu, s) of W, as
     (q ascending coefficients with the norm folded in, mu, s)."""
-    for i in (0, 1):
-        M = marginal(W, [i])
-        yield M.norm * M.poly.coef, float(M.mean[0]), float(M.cov[0, 0])
+    M = marginal(W, [i])
+    return M.norm * M.poly.coef, float(M.mean[0]), float(M.cov[0, 0])
 
 
 def _variance(q, mu, s) -> float:
@@ -257,7 +256,7 @@ def cat_fit(W: PolyGaussian) -> CatFit | None:
 def _fit_and_squeezing(W: PolyGaussian, n: int | None = None,
                        sigma11: float | None = None) -> tuple[dict, CatFit | None]:
     """score_state's squeezing dict and the cat fit whose lobes it reads."""
-    margs = list(_marginals(W))
+    margs = [_marginal(W, i) for i in (0, 1)]
     # prefer the axis with the deeper central dip (true cat lobes, not fringes);
     # the fit leaves the dip as it is, so only that axis is refined
     found = [(*lobes, a, *mg) for a, mg in zip("xp", margs) if (lobes := _lobes(*mg))]
@@ -280,13 +279,15 @@ def _fit_and_squeezing(W: PolyGaussian, n: int | None = None,
 def best_cat_fidelity(W: PolyGaussian, axis: str) -> tuple[float, tuple]:
     """Fidelity against the best-fitting even squeezed cat on the given axis.
 
-    Displaced states are recentred first; returns (F, (alpha2, lobe_var))."""
+    Displaced states are recentred first.  Nelder-Mead starts from the lobe
+    reading of that axis's exact marginal, alpha2 = x0^2 / (4 v0) and lobe_var = v0
+    (or (2, 1/2) without two lobes); returns (F, (alpha2, lobe_var))."""
     from scipy.optimize import minimize
 
     Wc = normalize(translate(W, -W.mean)) if np.abs(W.mean).max() > 1e-9 else W
     _require_normalized(Wc)
-    fit = cat_fit(Wc)
-    seed = (fit.alpha2, fit.lobe_var) if fit is not None and fit.axis == axis else (2.0, 0.5)
+    lobes = _lobes(*_marginal(Wc, int(axis == "p")))
+    seed = (2.0, 0.5) if lobes is None else (lobes[1] ** 2 / (4.0 * lobes[2]), lobes[2])
 
     def neg_f(q):
         a2, v = q
@@ -311,9 +312,8 @@ def best_fock_fidelity(W: PolyGaussian, n: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class StateMetrics:
-    """Quality summary of a synthesized mechanical state."""
+    """Quality summary of a state; its JSON keeps the key "F" (null) that report.json pins."""
 
-    F: float | None
     delta: float
     alpha2: float | None
     squeeze_db: float | None
@@ -321,20 +321,17 @@ class StateMetrics:
     method_tags: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.F is not None and self.F > 1.0 + 1e-9:
-            raise DomainError(f"fidelity {self.F} exceeds 1")
         if self.delta < -1e-9:
             raise DomainError(f"negativity {self.delta} is negative")
 
     def to_json_dict(self) -> dict:
-        return {"F": self.F, "delta": self.delta, "alpha2": self.alpha2, "squeeze_dB":
+        return {"F": None, "delta": self.delta, "alpha2": self.alpha2, "squeeze_dB":
                 self.squeeze_db, "parity": self.parity, "method_tags": self.method_tags}
 
 
-def score_state(W: PolyGaussian, target: TargetState | None = None,
-                n: int | None = None, sigma11: float | None = None) -> StateMetrics:
-    """Fidelity (if a target is given), negativity, cat size, squeezing and
-    parity indicator of W.
+def score_state(W: PolyGaussian, n: int | None = None,
+                sigma11: float | None = None) -> StateMetrics:
+    """Negativity, cat size, squeezing and parity indicator of W.
 
     method_tags["squeeze"] holds the squeezing in dB (negative = below vacuum):
     min_var_db:   10 log10(2 min(Var X, Var P)), with var_x and var_p
@@ -343,12 +340,11 @@ def score_state(W: PolyGaussian, target: TargetState | None = None,
     sigma_fock_db / sigma_cat_db: the mapping prescription -10 log10(sigma11)
                   and -10 log10(2 sigma11), given the pre-measurement sigma11
     """
-    f = fidelity(W, target) if target is not None else None
     delta = wigner_negativity(W)
     sq, fit = _fit_and_squeezing(W, n, sigma11)
     tags = {"squeeze": sq} if fit is None else {
         "squeeze": sq, "cat_axis": fit.axis, "cat_dip": fit.dip_ratio,
         "cat_refined": fit.refined}
     sq_db = sq["min_var_db"] if fit is None else sq.get("lobe_db")
-    return StateMetrics(F=f, delta=delta, alpha2=None if fit is None else fit.alpha2,
+    return StateMetrics(delta=delta, alpha2=None if fit is None else fit.alpha2,
                         squeeze_db=sq_db, parity=parity_indicator(W), method_tags=tags)

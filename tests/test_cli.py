@@ -81,6 +81,8 @@ class TestValidation:
         {"command": "eps", "stages": [{"xi": 0.5, "n": 5}, {"xi": 0.5, "n": 4}]},
         {"command": "oracle", "stages": [{"xi": 0.5, "n": 2}, {"xi": 0.5, "n": 2}]},
         {"command": "oracle", "stages": []},
+        {"command": "entanglement-sweep", "sweep": {"squeeze_db_grid": [1e308]}},
+        {"command": "entanglement-sweep", "sweep": {"r_grid": [0.5, 1.5]}},
     ], ids=["float-int", "bool-int", "R-exclusive-min", "empty-array", "unknown-command",
             "missing-command", "xmax-eq-xmin", "xmin-past-default-xmax",
             "figure-eta", "out-dir", "nan", "infinity", "minus-infinity-item",
@@ -89,7 +91,7 @@ class TestValidation:
             "stage-g-linear-huge", "stage-g-db-underflow", "stage-g-linear-tiny",
             "oracle-n-A", "grid-huge-span", "grid-n-above-bound",
             "truncation-above-bound", "photons-above-bound", "oracle-two-stages",
-            "oracle-no-stage"])
+            "oracle-no-stage", "sweep-squeeze-db-overflow", "sweep-R-above-one"])
     def test_schema_rejects(self, tmp_path, manifest):
         assert run(manifest, tmp_path) == EXIT_VALIDATION
         assert read_json(tmp_path / "report.json")["error"]["kind"] == "validation"
@@ -156,7 +158,7 @@ class TestNumericalErrors:
 EDGE = (0.0, 5e-324, 1e-300, 1e-12, 1e12, 1e300)
 
 
-def edge_numbers(prop):
+def edge_values(prop):
     """Edge values of a schema number, with their negatives and the field's own
     bounds, that the field's schema accepts."""
     def valid(v):
@@ -166,8 +168,11 @@ def edge_numbers(prop):
             return False
         return True
     bounds = [prop[k] for k in ("minimum", "maximum") if k in prop]
-    return st.sampled_from([v for v in dict.fromkeys((*EDGE, *(-m for m in EDGE), *bounds))
-                            if valid(v)])
+    return [v for v in dict.fromkeys((*EDGE, *(-m for m in EDGE), *bounds)) if valid(v)]
+
+
+def edge_numbers(prop):
+    return st.sampled_from(edge_values(prop))
 
 
 def block(name, **fixed):
@@ -177,24 +182,43 @@ def block(name, **fixed):
         k: fixed.get(k, edge_numbers(p)) for k, p in props.items()})
 
 
+def arrays(name):
+    """An optional-keys object of the schema block `name` of arrays, each item an
+    edge number of the array's item schema."""
+    props = _SCHEMA["properties"][name]["properties"]
+    return st.fixed_dictionaries({}, optional={
+        k: st.lists(edge_numbers(p["items"]), min_size=p["minItems"], max_size=3)
+        for k, p in props.items()})
+
+
 STAGE = _SCHEMA["properties"]["stages"]["items"]["properties"]
 stages = st.lists(st.sampled_from(["g_db", "g_linear", "xi"]).flatmap(
     lambda gain: st.fixed_dictionaries({gain: edge_numbers(STAGE[gain])}, optional={
         "n": st.sampled_from([0, 1, 2, 3]), "n_A": edge_numbers(STAGE["n_A"])})),
     min_size=1, max_size=1)
-manifests = st.fixed_dictionaries(
-    {"command": st.sampled_from(["eps", "imperfections", "oracle"]),
-     "grid": block("grid", n=st.sampled_from([2, 3, 21]))},
-    optional={"params": block("params"), "pulse": block("pulse"), "stages": stages,
-              "measurement": block("measurement"), "channel": block("channel"),
-              "oracle": st.just({"truncation": 8})})
+
+
+def commands(names, **blocks):
+    """Manifests of the given commands: the shared blocks and the commands' own."""
+    return st.fixed_dictionaries(
+        {"command": st.sampled_from(names), "grid": block("grid", n=st.sampled_from([2, 3, 21]))},
+        optional={"params": block("params"), "pulse": block("pulse"), **blocks})
+
+
+manifests = st.one_of(
+    commands(["eps", "imperfections", "oracle"], stages=stages,
+             measurement=block("measurement"), channel=block("channel"),
+             oracle=st.just({"truncation": 8})),
+    commands(["entanglement-sweep"], sweep=arrays("sweep")),
+    commands(["four-cat"], measurement=block("measurement"), four_cat=block("four_cat")),
+    commands(["gain-solve"]))
 
 
 def reject_constant(name):
     raise ValueError(f"report.json holds {name}")
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=180, deadline=None, derandomize=True)
 @given(manifest=manifests)
 def test_hostile_manifest_ends_in_a_report(manifest):
     # overflow in the rejected inputs warns on its way to the typed error
@@ -203,6 +227,16 @@ def test_hostile_manifest_ends_in_a_report(manifest):
         rc = run(manifest, Path(tmp))
         assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
         json.loads((Path(tmp) / "report.json").read_text(), parse_constant=reject_constant)
+
+
+@pytest.mark.parametrize("key", ["r_grid", "squeeze_db_grid"])
+def test_sweep_edge_items_end_in_a_report(tmp_path, key):
+    # every edge value the item schema accepts, one sweep row each
+    for i, v in enumerate(edge_values(_SCHEMA["properties"]["sweep"]["properties"][key]["items"])):
+        rc = run({"command": "entanglement-sweep", "sweep": {key: [v]}}, tmp_path / str(i))
+        assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
+        json.loads((tmp_path / str(i) / "report.json").read_text(),
+                   parse_constant=reject_constant)
 
 
 class TestGainSolve:
@@ -400,6 +434,17 @@ class TestFigureCatalog:
     def test_four_cat_marginal(self, all_figures):
         lines = (all_figures[0] / "fig4b_PX.csv").read_text().splitlines()
         assert (lines[0], len(lines) - 1) == ("X_M,P_X", 241)
+
+    def test_four_cat_marginal_is_exact(self, all_figures):
+        # P_X is the exact X marginal: a p sum over +-14 agrees to 1e-12, where
+        # a sum over the map's own +-6 rows clips the tails by about 1e-8
+        from cvngs import MeasurementSpec, four_cat_pipeline
+        from cvngs.cli import _V
+        x, px = np.loadtxt(all_figures[0] / "fig4b_PX.csv", delimiter=",", skiprows=1).T
+        W = four_cat_pipeline(_V(0.0, 0.9), 0.0, MeasurementSpec(eps=0.01))["state"]
+        p = np.linspace(-14.0, 14.0, 1401)
+        fine = W(x[:, None], p).sum(axis=1) * (p[1] - p[0])
+        assert np.abs(fine - px).max() < 1e-12
 
 
 class TestMainEntry:

@@ -220,6 +220,24 @@ class TestFactor:
         assert (st == st) is True
         assert (st == FockState(amps=st.amps)) is False
 
+    def test_edge_population_one_mode(self):
+        # columns are not an edge: two columns in |0> pass, weight in |N> fails
+        amps = np.zeros((5, 2))
+        amps[0] = (0.6, 0.8)
+        FockState(amps=amps).check_edge_population()
+        amps[-1, 1] = 0.01
+        with pytest.raises(TruncationError, match="edge population 1.00e-04"):
+            FockState(amps=amps).check_edge_population()
+
+    @pytest.mark.parametrize("edge", [(-1, 0), (0, -1)], ids=["m", "c"])
+    def test_edge_population_two_modes(self, edge):
+        amps = np.zeros((5, 5, 2))
+        amps[0, 0] = (0.6, 0.8)
+        FockState(amps=amps).check_edge_population()
+        amps[edge + (1,)] = 0.01
+        with pytest.raises(TruncationError, match="edge population 1.00e-04"):
+            FockState(amps=amps).check_edge_population()
+
     def test_oracle_memory_stays_small(self):
         # N = 40 with loss, efficiency and dark counts: the dense two-mode
         # route peaked near 364 MB on this case; the factor stays a few MB

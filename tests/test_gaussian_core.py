@@ -44,6 +44,11 @@ class TestInitialCovariance:
         with pytest.raises(DomainError):
             SqueezeSpec(0.0)
 
+    @pytest.mark.parametrize("db", [1e308, 4000.0, -4000.0, float("inf"), float("nan")])
+    def test_squeeze_db_out_of_range_is_domain_error(self, db):
+        with pytest.raises(DomainError):
+            SqueezeSpec.from_db(db)
+
 
 class TestPhysicality:
     def test_vacuum_is_physical(self):

@@ -9,7 +9,7 @@ from cvngs import (EpsStage, GridSpec, MeasurementSpec, PipelineSpec,
                    four_cat_pipeline, gaussian_wigner, initial_covariance, marginal,
                    parity_indicator, score_state, sigma_from_cov, solve_gain)
 from cvngs.exceptions import ContractError, DomainError, NumericalDomainError
-from cvngs.metrics_targets import _cat_cost_fn, _lobes, _marginals
+from cvngs.metrics_targets import _cat_cost_fn, _lobes, _marginal
 from cvngs.phase_space import _gauss_density
 from test_phase_space import fock1_wigner
 
@@ -231,7 +231,8 @@ class TestCatSize:
         xb = 2.0 * math.sqrt(alpha2 * lobe_var)
         x = np.linspace(-30.0, 30.0, 24001)
         W, _ = pipeline_state(1.0, gamma=1.6)
-        for axis, (q, mu, s) in enumerate(_marginals(W)):
+        for axis in (0, 1):
+            q, mu, s = _marginal(W, axis)
             M = marginal(W, [axis])
             m = M(x) / M.total_mass()
             cost = _cat_cost_fn(q, mu, s)
@@ -260,7 +261,7 @@ class TestCatSize:
 
     def test_cost_walls(self):
         W, _ = pipeline_state(1.0, gamma=1.6)
-        cost = _cat_cost_fn(*next(_marginals(W)))
+        cost = _cat_cost_fn(*_marginal(W, 0))
         assert cost((0.0, 0.3), 1) == cost((-0.5, 0.3), 1) == 1e6
         assert cost((1.0, 1e-4), 1) == 1e6
         # odd parity at xb -> 0: 1 - exp(-xb^2 / 2v) < 5e-4
@@ -272,7 +273,7 @@ class TestCatSize:
         # leaves the acceptance window and the fit keeps the lobe reading
         W, _ = pipeline_state(0.5, n=1)
         fit = cat_fit(W)
-        marg = list(_marginals(W))["xp".index(fit.axis)]
+        marg = _marginal(W, "xp".index(fit.axis))
         assert not fit.refined
         assert (fit.dip_ratio, fit.x_star, fit.lobe_var) == _lobes(*marg)
         assert score_state(W).method_tags["cat_refined"] is False
@@ -282,13 +283,15 @@ class TestCatSize:
 
     def test_work_counts(self, monkeypatch):
         # deterministic guard on the optimizers' work: Nelder-Mead runs on one
-        # axis only, and every best-fit evaluation builds one moment table
+        # axis only, a scored cat runs 3 fits in all (the best fit seeds from
+        # the lobe reading, not a second cat fit), and every best-fit
+        # evaluation builds one moment table
         import scipy.optimize
         import cvngs.metrics_targets as mt
         import cvngs.phase_space as ps
         from cvngs.metrics_targets import best_cat_fidelity, best_fock_fidelity
 
-        runs, tables, per_eval = [], [], []
+        runs, refines, tables, per_eval = [], [], [], []
 
         def counted(real, log):
             def call(*args, **kwargs):
@@ -305,15 +308,31 @@ class TestCatSize:
         monkeypatch.setattr(scipy.optimize, "minimize", counted(scipy.optimize.minimize, runs))
         monkeypatch.setattr(ps, "_moment_table", counted(ps._moment_table, tables))
         monkeypatch.setattr(mt, "overlap_terms", per_overlap)
+        monkeypatch.setattr(mt, "_refine", counted(mt._refine, refines))
         for kw in FIT_STATES.values():
             W, _ = pipeline_state(gamma=1.6, **kw)
             runs.clear()
             mt._fit_and_squeezing(W)
             assert len(runs) == 2
         W, _ = pipeline_state(1.0, gamma=1.6)
+        runs.clear()
+        refines.clear()
+        score_state(W)
         best_cat_fidelity(W, "p")
+        assert len(runs) == 3 and len(refines) == 1
         best_fock_fidelity(W, 2)
         assert len(per_eval) > 20 and set(per_eval) == {1}
+
+    @pytest.mark.parametrize("name", list(FIT_STATES))
+    def test_best_fit_beats_the_cat_fit_target(self, name):
+        # the best fit seeds from the lobe reading, yet ends no worse than the
+        # even cat at the refined cat fit's (alpha2, lobe variance)
+        from cvngs.metrics_targets import best_cat_fidelity
+        W, _ = pipeline_state(gamma=1.6, **FIT_STATES[name])
+        fit = cat_fit(W)
+        at_fit = fidelity(W, TargetState.cat(math.sqrt(fit.alpha2), 1, lobe_var=fit.lobe_var,
+                                             axis=fit.axis))
+        assert best_cat_fidelity(W, fit.axis)[0] >= at_fit - 1e-7
 
     def test_p_axis_detected(self):
         for xi, axis in ((1.0, "p"), (0.0, "x")):
@@ -391,15 +410,13 @@ class TestSqueezingAndParity:
 class TestScoreState:
     def test_bundle(self):
         W, sig = pipeline_state(1.0, gamma=1.6)
-        m = score_state(W, target=TargetState.cat(math.sqrt(2.0), 1,
-                                                  sig.s11 / 4.0, axis="p"),
-                        n=2, sigma11=sig.s11)
-        assert 0.0 <= m.F <= 1.0
+        m = score_state(W, n=2, sigma11=sig.s11)
         assert m.delta > 0.0
         assert m.alpha2 is not None
         d = m.to_json_dict()
         assert set(d) == {"F", "delta", "alpha2", "squeeze_dB", "parity",
                           "method_tags"}
+        assert d["F"] is None       # report.json pins the key; fidelities are the best fits
 
     def test_subnormal_marginal_is_numerical_domain(self):
         # the X marginal of this state has a 4.8e-319 coefficient: the lobe
