@@ -4,12 +4,15 @@ Targets are pure states held as kernel groups of Gaussian terms (complex means
 for the cat superpositions, a Laguerre polynomial for Fock states).  Every metric
 is exact: the fidelity 2 pi * int(W W_t) (one moment table per group), the
 negativity (phase_space), and the cat-lobe fit and the squeezing on the exact 1-D
-quadrature marginals.  Grids serve only rendering and cross-checks in the tests.
+quadrature marginals.  The fits (the cat-marginal model, the best cat and Fock
+targets) are Newton's method on the exact values, gradients and Hessians of
+these closed forms.  Grids serve only rendering and cross-checks in the tests.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -18,15 +21,19 @@ from itertools import product
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .exceptions import DomainError, NumericalDomainError
+from .exceptions import ContractError, DomainError, NumericalDomainError
 from .phase_space import (MultiPoly, PolyGaussian, _expect, _hermite_functions,
-                          _require_normalized, marginal, normalize,
-                          overlap_terms, translate, wigner_negativity)
+                          _kernel_overlaps, _linear, _moments, _require_normalized,
+                          marginal, normalize, overlap_terms, translate,
+                          wigner_negativity)
 
 SQRT2 = math.sqrt(2.0)
 CAT_NORM_MIN = 1e-6    # least 1 + parity e^(-2 alpha^2): below, an odd cat's terms cancel
 FOCK_MAX = 170         # 171! overflows a double
+NEWTON_MAX = 60        # cap on Newton iterates per fit; the test states stop well below it
+_Y_ODD = -math.log1p(-5e-4)    # below, the odd cat model's 1 - e^-y < 5e-4 loses all precision
 _ONE = MultiPoly.constant(2)
+_XP = (MultiPoly.variable(2, 0), MultiPoly.variable(2, 1))
 
 
 def _pair_weights(alphas, coeffs) -> list:
@@ -136,8 +143,8 @@ class TargetState:
 # ---------------------------------------------------------------------------
 # metrics
 
-def _clipped_overlap(W: PolyGaussian, target: TargetState) -> float:
-    f = overlap_terms(W, target.terms)
+def _clip(f: float) -> float:
+    """A fidelity overlap clipped to [0, 1], with a warning beyond round-off."""
     if not math.isfinite(f):
         raise NumericalDomainError(f"fidelity overlap is {f}")
     clipped = min(max(f, 0.0), 1.0)
@@ -150,7 +157,7 @@ def fidelity(W_state: PolyGaussian, target: TargetState) -> float:
     """F = <psi_t| rho |psi_t> = 2 pi int(W W_t), clipped to [0, 1]; exact,
     as one batched Gaussian-moment sum per kernel group of the target."""
     _require_normalized(W_state)
-    return _clipped_overlap(W_state, target)
+    return _clip(overlap_terms(W_state, target.terms))
 
 
 def parity_indicator(W_state: PolyGaussian) -> float:
@@ -180,28 +187,78 @@ def _variance(q, mu, s) -> float:
     return float(_expect(np.r_[0.0, 0.0, q], mu, s) - _expect(np.r_[0.0, q], mu, s) ** 2)
 
 
+class _Jet(tuple):
+    """(f, f_a, f_b, f_aa, f_ab, f_bb): a value with its gradient and Hessian in two
+    variables, carried through + and * by the sum and product rules and through
+    `chain` and `compose` by the chain rule (second-order forward differentiation)."""
+
+    __slots__ = ()
+
+    def __add__(self, o):
+        if isinstance(o, _Jet):
+            return _Jet(map(operator.add, self, o))
+        return _Jet((self[0] + o, *self[1:]))
+
+    def __mul__(self, o):
+        if not isinstance(o, _Jet):
+            return _Jet([x * o for x in self])
+        (f, a, b, aa, ab, bb), (g, c, d, cc, cd, dd) = self, o
+        return _Jet((f * g, f * c + a * g, f * d + b * g, f * cc + 2.0 * a * c + aa * g,
+                     f * cd + a * d + b * c + ab * g, f * dd + 2.0 * b * d + bb * g))
+    __radd__, __rmul__ = __add__, __mul__
+
+    def chain(self, g0, g1, g2):
+        """g(self), from g, g' and g'' at the value."""
+        f, a, b, aa, ab, bb = self
+        return _Jet((g0, g1 * a, g1 * b, g1 * aa + g2 * a * a, g1 * ab + g2 * a * b,
+                     g1 * bb + g2 * b * b))
+
+    def compose(self, X, Y):
+        """self(X, Y), for the jets X and Y of its two arguments."""
+        dx, dy = X + -X[0], Y + -Y[0]
+        return (dx * (dx * (self[3] / 2.0) + dy * self[4] + self[1])
+                + dy * (dy * (self[5] / 2.0) + self[2]) + self[0])
+
+
 def _cat_cost_fn(q, mu, s):
-    """cost((xb, v), parity) = int (model - m / mass)^2 dx in closed form, with
-    model = (N(x; xb, v) + N(x; -xb, v) + 2 parity E N(x; 0, v)) / S the ideal
-    squeezed cat's marginal, E = exp(-xb^2 / 2v), S = 2 + 2 parity E."""
+    """cost((y, v), parity) = int (model - m / mass)^2 dx in closed form, as a _Jet in
+    (y, v), with model = (N(x; xb, v) + N(x; -xb, v) + 2 parity E N(x; 0, v)) / S the
+    ideal squeezed cat's marginal, y = xb^2 / 2v, E = e^-y, S = 2 + 2 parity E."""
     mass = _expect(q, mu, s)
     m_sq = _expect(P.polymul(q, q), mu, s / 2.0) / math.sqrt(4.0 * math.pi * s) / mass ** 2
-    q = q.tolist()
+    # column k: m^(k) = q_k N(x; mu, s), q_(k+1) = q_k' - (x - mu) q_k / s, and
+    # d^k/dc^k int m N(x; c, v) dx = int m^(k) N(x; c, v) dx
+    Q = np.zeros((len(q) + 4, 5))
+    Q[:len(q), 0] = q
+    for k in range(4):
+        Q[:-1, k + 1] = Q[1:, k] * np.arange(1, len(Q)) + Q[:-1, k] * (mu / s)
+        Q[1:, k + 1] -= Q[:-1, k] / s
 
     def cost(z, parity):
-        xb, v = float(z[0]), float(z[1])
-        if xb <= 0 or v <= 1e-4 or 1.0 + parity * (e := math.exp(-xb * xb / (2.0 * v))) < 5e-4:
-            return 1e6      # odd model at xb -> 0: the weights / S lose all precision
-        S = 2.0 + 2.0 * parity * e
-        model_sq = (2.0 + 6.0 * e * e + 8.0 * parity * e ** 1.5) / (
-            S * S * math.sqrt(4.0 * math.pi * v))
-        # sqrt(2 pi t) N(c; mu, t) E[q] under the product Gaussian, c = xb, -xb, 0
-        t = v + s
-        lobe = [math.exp(-(c - mu) ** 2 / (2.0 * t)) * _expect(q, (c * s + mu * v) / t, v * s / t)
-                for c in (xb, -xb, 0.0)]
-        cross = (lobe[0] + lobe[1] + 2.0 * parity * e * lobe[2]) / (
-            S * math.sqrt(2.0 * math.pi * t) * mass)
-        return model_sq - 2.0 * cross + m_sq
+        y, v = float(z[0]), float(z[1])
+        if y <= 0 or v <= 1e-4 or (parity < 0 and y < _Y_ODD):
+            return _Jet((1e6, 0.0, 0.0, 0.0, 0.0, 0.0))
+        Y, V = _Jet((y, 1.0, 0.0, 0.0, 0.0, 0.0)), _Jet((v, 0.0, 1.0, 0.0, 0.0, 0.0))
+        e, E = ((Y * -r).chain(*3 * (math.exp(-r * y),)) for r in (0.5, 1.0))
+        # 1 + parity e and S / 2 = 1 + parity E, their values without cancellation:
+        # int model^2 = 2 (1 + parity e)^2 (1 - 2 parity e + 3 E) / (S^2 sqrt(4 pi v))
+        A, B = (_Jet((1.0 + math.exp(-r * y) if parity > 0 else -math.expm1(-r * y),
+                      *(x * parity)[1:])) for r, x in ((0.5, e), (1.0, E)))
+        g, Binv = (4.0 * math.pi * v) ** -0.5, B.chain(1.0 / B[0], -B[0] ** -2, 2.0 * B[0] ** -3)
+        model_sq = A * A * (e * (-2.0 * parity) + E * 3.0 + 1.0) * Binv * Binv * V.chain(
+            0.5 * g, -0.25 * g / v, 0.375 * g / (v * v))
+        # G(c) = int m N(x; c, v) dx at c = xb, -xb, 0 from the product Gaussian
+        # N((c s + mu v) / t, v s / t): its c derivatives from the q_k, dG/dv = G''/2
+        xb, t = math.sqrt(2.0 * v * y), v + s
+        c = np.array([xb, -xb, 0.0])
+        J = np.array([_moments(m, v * s / t, len(Q)) for m in (c * s + mu * v) / t]) @ Q
+        jp, jm, j0 = (J * np.exp(-(c - mu) ** 2 / (2.0 * t))[:, None]
+                      / math.sqrt(2.0 * math.pi * t)).tolist()      # d^k G / dc^k, k = 0..4
+        pair = _Jet((jp[0] + jm[0], jp[1] - jm[1], (jp[2] + jm[2]) / 2.0, jp[2] + jm[2],
+                     (jp[3] - jm[3]) / 2.0, (jp[4] + jm[4]) / 4.0))      # in (xb, v)
+        lobes = (pair.compose((Y * V * 2.0).chain(xb, 0.5 / xb, -0.25 / xb ** 3), V)
+                 + E * _Jet((j0[0], 0.0, j0[2] / 2.0, 0.0, 0.0, j0[4] / 4.0)) * (2.0 * parity))
+        return model_sq + lobes * Binv * (-1.0 / mass) + m_sq
     return cost
 
 
@@ -210,7 +267,8 @@ def _lobes(q, mu, s) -> tuple | None:
     # critical points of m: real roots of d = s q' - (x - mu) q, as m' = N d / s
     d = P.polysub(s * P.polyder(q), P.polymul([-mu, 1.0], q))
     try:
-        r = P.polyroots(d)
+        with np.errstate(over="ignore"):
+            r = P.polyroots(d)
     except np.linalg.LinAlgError as exc:     # a subnormal leading coefficient
         raise NumericalDomainError(f"marginal critical points: {exc}") from exc
     x = np.sort(r.real[np.abs(r.imag) <= 1e-9 * np.maximum(1.0, np.abs(r.real))])
@@ -233,15 +291,48 @@ def _lobes(q, mu, s) -> tuple | None:
     return dip, float(0.5 * (xr - xl)), v0
 
 
+def _newton_max(jet, z, lo, hi) -> tuple:
+    """(f, z) at a local maximum of f in the box lo <= z <= hi, from z, with jet(z)
+    the _Jet of f.  A variable on a bound whose gradient points out stays there;
+    the others take the Newton step with each Hessian eigenvalue by its magnitude
+    (an ascent where f is not concave; 1/sqrt(curvature) off a minimum), clipped
+    to the box and halved until f falls by no more than round-off.  A full step
+    below sqrt(eps) of z ends the search."""
+    eps = np.finfo(float).eps
+    z = np.clip(np.asarray(z, dtype=float), lo, hi)
+    J = jet(z)
+    for _ in range(NEWTON_MAX):
+        g, H = np.array(J[1:3]), np.array([J[3:5], J[4:6]])
+        free = ((z > lo) | (g > 0)) & ((z < hi) | (g < 0))
+        w, U = np.linalg.eigh(H[free][:, free])
+        y = U.T @ g[free]
+        d = np.zeros(2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[free] = U @ (np.where(y == 0.0, np.sqrt(np.maximum(w, 0.0)), y) / np.abs(w))
+        if not np.isfinite(d).all():    # a flat direction (a wall's constant value)
+            break
+        t = 1.0
+        while True:
+            zt = np.clip(z + t * d, lo, hi)
+            if np.all(np.abs(zt - z) <= math.sqrt(eps) * np.maximum(np.abs(z), 1.0)):
+                return J[0], zt if t == 1.0 else z
+            Jt = jet(zt)
+            if Jt[0] >= J[0] - 8.0 * eps * max(abs(J[0]), 1.0):
+                break
+            t /= 2.0
+        z, J = zt, Jt
+    return J[0], z
+
+
 def _refine(dip: float, x0: float, v0: float, axis: str, q, mu, s) -> CatFit:
     """Fit the two-lobe cat-marginal model from the lobe reading; corrects the
     bias of the bare peak reading when the lobes overlap (small |alpha|^2)."""
-    from scipy.optimize import minimize
-    cost = _cat_cost_fn(q, mu, s)
-    best = min((minimize(cost, [max(x0, 0.05), v0], args=(parity,), method="Nelder-Mead",
-                         options={"xatol": 1e-6, "fatol": 1e-12, "maxiter": 400})
-                for parity in (+1, -1)), key=lambda r: r.fun)
-    xb, vl = float(best.x[0]), float(best.x[1])
+    cost, y0 = _cat_cost_fn(q, mu, s), max(x0, 0.05) ** 2 / (2.0 * v0)
+    best = max((_newton_max(lambda z, p=parity: cost(z, p) * -1.0, [y0, v0],
+                            np.array([_Y_ODD if parity < 0 else 0.0, 1e-4]), np.full(2, np.inf))
+                for parity in (+1, -1)), key=lambda r: r[0])
+    yb, vl = (float(x) for x in best[1])
+    xb = math.sqrt(2.0 * vl * yb)
     refined = 0.2 * x0 < xb < 5.0 * max(x0, 0.1) and 0.05 * v0 < vl < 20.0 * v0
     if refined:
         x0, v0 = xb, vl
@@ -276,38 +367,89 @@ def _fit_and_squeezing(W: PolyGaussian, n: int | None = None,
     return out, fit
 
 
+def _kernel_diffs(W: PolyGaussian) -> list:
+    """The polynomials p of W = P N's derivatives p N: P, P_x, P_p, P_xx, P_xp, P_pp,
+    then D P, D^2 P, D P_x and D P_p for the squeeze generator D = -x d/dx + p d/dp,
+    from d/du_i (f N) = (f_i - [C^-1 (u - m)]_i f) N, (D f)_x = D f_x - f_x and
+    (D f)_p = D f_p + f_p."""
+    if W.nvars != 2:
+        raise ContractError("overlap is defined for 2-variable states")
+    ci = np.linalg.inv(W.cov)
+
+    def d(poly: MultiPoly, i: int) -> MultiPoly:
+        return poly.diff(i) + _linear(ci[i] @ W.mean, -ci[i]) * poly
+
+    def gen(fx: MultiPoly, fp: MultiPoly) -> MultiPoly:      # D f from f_x and f_p
+        return _XP[1] * fp + (_XP[0] * fx).scale(-1.0)
+    px, pp = d(W.poly, 0), d(W.poly, 1)
+    pxx, pxp, ppp = d(px, 0), d(px, 1), d(pp, 1)
+    Dpx, Dpp = gen(pxx, pxp), gen(pxp, ppp)
+    return [W.poly, px, pp, pxx, pxp, ppp, gen(px, pp), gen(Dpx + px.scale(-1.0), Dpp + pp),
+            Dpx, Dpp]
+
+
 def best_cat_fidelity(W: PolyGaussian, axis: str) -> tuple[float, tuple]:
     """Fidelity against the best-fitting even squeezed cat on the given axis.
 
-    Displaced states are recentred first.  Nelder-Mead starts from the lobe
+    Displaced states are recentred first.  Newton steps start from the lobe
     reading of that axis's exact marginal, alpha2 = x0^2 / (4 v0) and lobe_var = v0
-    (or (2, 1/2) without two lobes); returns (F, (alpha2, lobe_var))."""
-    from scipy.optimize import minimize
+    (or (2, 1/2) without two lobes), in the box 0.01 < alpha2, 0.02 < lobe_var <= 6;
+    returns (F, (alpha2, lobe_var)).
 
+    A P cat is the X cat of W with x and p swapped.  Each term of the X cat of
+    amplitude a and lobe_var e^(2l) / 2 is N(S^-1 u; a e_k, I/2), S = diag(e^l, e^-l):
+    d/da shifts it by -S e_k . grad and d/dl applies D = -x d/dx + p d/dp.  By parts,
+    with O(f) = 2 pi int f term, G_a = O(S e_k . grad W), G_l = -O(D W), and so on to
+    second order: one moment table of ten derivatives of W per Newton iterate."""
     Wc = normalize(translate(W, -W.mean)) if np.abs(W.mean).max() > 1e-9 else W
     _require_normalized(Wc)
     lobes = _lobes(*_marginal(Wc, int(axis == "p")))
     seed = (2.0, 0.5) if lobes is None else (lobes[1] ** 2 / (4.0 * lobes[2]), lobes[2])
+    if axis == "p":
+        Wc = PolyGaussian(Wc.cov[::-1, ::-1], Wc.mean[::-1], MultiPoly(Wc.poly.coef.T), Wc.norm)
+    polys = _kernel_diffs(Wc)
 
-    def neg_f(q):
-        a2, v = q
-        if a2 <= 0.01 or v <= 0.02 or v > 6.0:
-            return 1.0
-        return -_clipped_overlap(Wc, TargetState.cat(math.sqrt(a2), 1, lobe_var=v, axis=axis))
-
-    r = minimize(neg_f, list(seed), method="Nelder-Mead",
-                 options={"xatol": 1e-4, "fatol": 1e-7})
-    return -float(r.fun), (float(r.x[0]), float(r.x[1]))
+    def jet(z):
+        a2, v = z
+        a = math.sqrt(a2)
+        (w, means, cov, poly), = TargetState.cat(a, 1, lobe_var=v).terms
+        c, E = _kernel_overlaps(Wc, polys, means, cov, poly)
+        ex, ep = means[:, 0] / a, means[:, 1] / a        # S e_k
+        O = c * E
+        G = (O[0], ex * O[1] + ep * O[2], ex * ex * O[3] + 2.0 * ex * ep * O[4] + ep * ep * O[5],
+             -O[6], O[7], ex * (O[1] - O[8]) - ep * (O[2] + O[9]))
+        # weights h = 1 / (2 + 2 e) on |a><a| and |-a><-a|, 1/2 - h on the cross terms,
+        # e = exp(-2 a^2): dh/da = 8 e h^2 a, d^2h/da^2 = 8 e h^2 (1 - 4 a^2 + 16 a^2 e h)
+        e = math.exp(-2.0 * a2)
+        h = 1.0 / (2.0 + 2.0 * e)
+        dh = np.where(means[:, 1] == 0.0, 8.0, -8.0) * e * h * h
+        w1, w2 = dh * a, dh * (1.0 - 4.0 * a2 + 16.0 * a2 * e * h)
+        F, Fa, Faa, Fl, Fll, Fal = (Wc.norm * float(np.real(np.sum(x))) for x in (
+            w * c * E[0], w1 * G[0] + w * G[1], w2 * G[0] + 2.0 * w1 * G[1] + w * G[2],
+            w * G[3], w * G[4], w1 * G[3] + w * G[5]))
+        # in (alpha2, lobe_var): a = sqrt(alpha2), l = ln(2 lobe_var) / 2
+        return _Jet((F, Fa / (2.0 * a), Fl / (2.0 * v), (Faa - Fa / a) / (4.0 * a2),
+                     Fal / (4.0 * a * v), (Fll - 2.0 * Fl) / (4.0 * v * v)))
+    f, z = _newton_max(jet, seed, np.nextafter([0.01, 0.02], 1.0), np.array([np.inf, 6.0]))
+    return _clip(float(f)), (float(z[0]), float(z[1]))
 
 
 def best_fock_fidelity(W: PolyGaussian, n: int) -> tuple[float, float]:
-    """Fidelity against the best squeezed Fock-n target; returns (F, squeeze_db)."""
-    from scipy.optimize import minimize_scalar
-
+    """Fidelity against the best squeezed Fock-n target, -10 <= squeeze_db <= 10;
+    returns (F, squeeze_db).  Newton steps start at 0 dB.  The target is
+    T(x / lam, lam p) with lam = 10^(db / 20), so the overlap's first and second
+    derivatives in ln lam are -O(D W) and O(D^2 W) (best_cat_fidelity's D and O)."""
     _require_normalized(W)
-    r = minimize_scalar(lambda sdb: -_clipped_overlap(W, TargetState.fock(n, float(sdb))),
-                        bounds=(-10.0, 10.0), method="bounded")
-    return -float(r.fun), float(r.x)
+    polys = operator.itemgetter(0, 6, 7)(_kernel_diffs(W))        # P, D P, D^2 P
+    k = math.log(10.0) / 20.0          # d ln(lam) / d db
+
+    def jet(z):      # the second variable is pinned at 0
+        (w, means, cov, poly), = TargetState.fock(n, float(z[0])).terms
+        c, E = _kernel_overlaps(W, polys, means, cov, poly)
+        F, F1, F2 = (W.norm * float(np.real(np.sum(w * c * e))) for e in E)
+        return _Jet((F, -k * F1, 0.0, k * k * F2, 0.0, 0.0))
+    f, z = _newton_max(jet, [0.0, 0.0], np.array([-10.0, 0.0]), np.array([10.0, 0.0]))
+    return _clip(float(f)), float(z[0])
 
 
 @dataclass(frozen=True)

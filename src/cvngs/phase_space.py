@@ -203,13 +203,17 @@ def _moment_table(cov: np.ndarray, means: np.ndarray, shape) -> np.ndarray:
     return M
 
 
-def _expect(q, mean, var):
-    """E[q(x)] for x ~ N(mean, var), mean a scalar or an array of means, from
-    the raw moments M_k = mean M_(k-1) + (k-1) var M_(k-2)."""
+def _moments(mean, var, n: int) -> list:
+    """Raw moments M_k = mean M_(k-1) + (k-1) var M_(k-2) of N(mean, var), k < max(n, 2)."""
     mom = [1.0, mean]
-    for k in range(2, len(q)):
+    for k in range(2, n):
         mom.append(mean * mom[-1] + (k - 1) * var * mom[-2])
-    return sum(c * mk for c, mk in zip(q, mom))
+    return mom
+
+
+def _expect(q, mean, var):
+    """E[q(x)] for x ~ N(mean, var), mean a scalar or an array of means."""
+    return sum(c * mk for c, mk in zip(q, _moments(mean, var, len(q))))
 
 
 def _gauss_integral(coef: np.ndarray, cov: np.ndarray, means: np.ndarray) -> np.ndarray:
@@ -515,7 +519,7 @@ def _t_polys(W: PolyGaussian):
     def at(xs):
         b = np.vander(xs, len(coef), increasing=True) @ coef
         comp = np.repeat(scaffold[None], len(xs), axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             comp[:, :, -1:] = (-b[:, :dp] / b[:, dp:])[:, :, None]
         comp[~np.isfinite(comp)] = 0.0
         dens = np.exp(-0.5 * (xs - m[0]) ** 2 / C[0, 0]) / math.sqrt(2.0 * math.pi * C[0, 0])
@@ -567,26 +571,44 @@ def wigner_negativity(W: PolyGaussian) -> float:
     return float(-2.0 * (w * _GL_W).ravel() @ (dens * np.minimum(seg, 0.0).sum(axis=1)))
 
 
+def _kernel_overlaps(W: PolyGaussian, polys, means, cov, poly) -> tuple:
+    """(c (K,), E (I, K)) with 2 pi * int W.norm polys[i](u) N(u; W.mean, W.cov)
+    poly(u) N(u; m_k, cov) du = W.norm c_k E_ik: polynomials on W's kernel against
+    one kernel group (means (K, 2), cov, poly), from one product covariance, one
+    stacked polynomial product and one batched moment table."""
+    if W.nvars != 2 or np.shape(means)[1:] != (2,):
+        raise ContractError("overlap is defined for 2-variable states")
+    A1 = np.linalg.inv(W.cov)
+    a1 = A1 @ W.mean
+    A2 = np.linalg.inv(cov)
+    pcov = np.linalg.inv(A1 + A2)
+    pcov = 0.5 * (pcov + pcov.T)
+    b = a1 + means @ A2.T
+    pmean = b @ pcov.T
+    log_c = -0.5 * (W.mean @ a1 + np.linalg.slogdet(W.cov)[1]
+                    + np.sum(means @ A2 * means - b * pmean, axis=1)
+                    + np.linalg.slogdet(cov)[1] - np.linalg.slogdet(pcov)[1])
+    n0, n1 = np.max([p.coef.shape for p in polys], axis=0)
+    S = np.zeros((len(polys), n0, n1))
+    for Si, p in zip(S, polys):
+        Si[:p.coef.shape[0], :p.coef.shape[1]] = p.coef
+    C = np.zeros((len(polys), n0 + poly.coef.shape[0] - 1, n1 + poly.coef.shape[1] - 1))
+    for i, j in zip(*np.nonzero(poly.coef)):
+        C[:, i:i + n0, j:j + n1] += poly.coef[i, j] * S
+    # entries the coefficients never reach may overflow: they are dropped, not multiplied by 0
+    M = np.where((C != 0.0).any(axis=0)[..., None], _moment_table(pcov, pmean, C.shape[1:]), 0.0)
+    return np.exp(log_c), np.tensordot(C, M, axes=([1, 2], [0, 1]))
+
+
 def overlap_terms(W: PolyGaussian, terms) -> float:
     """Re 2 pi * int W(u) sum_k w_k poly(u) N(u; m_k, cov), exactly, over kernel
     groups (w (K,), m (K, 2), cov, poly): one product covariance, polynomial
     product and batched moment table per group.  Weights and means may be
     complex (coherent-state superpositions); the moment recursion still holds."""
-    if W.nvars != 2 or any(np.shape(group[1])[1:] != (2,) for group in terms):
-        raise ContractError("overlap is defined for 2-variable states")
-    A1 = np.linalg.inv(W.cov)
-    a1 = A1 @ W.mean
-    const1 = W.mean @ a1 + np.linalg.slogdet(W.cov)[1]
     total = 0.0
     for w, means, cov, poly in terms:
-        A2 = np.linalg.inv(cov)
-        pcov = np.linalg.inv(A1 + A2)
-        pcov = 0.5 * (pcov + pcov.T)
-        b = a1 + means @ A2.T
-        pmean = b @ pcov.T
-        log_c = -0.5 * (const1 + np.sum(means @ A2 * means - b * pmean, axis=1)
-                        + np.linalg.slogdet(cov)[1] - np.linalg.slogdet(pcov)[1])
-        total += np.sum(w * np.exp(log_c) * _gauss_integral((W.poly * poly).coef, pcov, pmean))
+        c, E = _kernel_overlaps(W, [W.poly], means, cov, poly)
+        total += np.sum(w * c * E[0])
     return W.norm * float(np.real(total))
 
 
