@@ -15,7 +15,9 @@ general linear map is LU-factored into such steps, each run only on the box
 its accumulator's degree can fill (bit-identical to the full box).  Photon
 subtraction builds each first derivative once; its weight stays in `norm`, and
 `eps_pipeline` checks it once per stage.  Gaussian integrals sum the
-coefficients against a table of raw moments, batched over means.
+coefficients against a table of raw moments, batched over means.  The Wigner
+negativity is exact in p; its x panels end where the number of real roots in
+p changes, counted from the inertia of a Bezoutian built once per state.
 """
 
 from __future__ import annotations
@@ -503,8 +505,9 @@ _GL_T, _GL_W = np.polynomial.legendre.leggauss(NEG_NODES)
 
 
 def _t_polys(W: PolyGaussian):
-    """xs -> (b[:, k], the roots in t (companion eigenvalues), N(x)) at each x;
-    the coefficients and the companion scaffold are built once."""
+    """(coef, at): W = N(x) phi(t) sum_k b_k(x) t^k with p = mu(x) + s t and
+    coef[i, k] the coefficient of x^i in b_k, composed once; at(xs) -> (b[:, k],
+    the roots in t (companion eigenvalues), N(x)) at each x, for the panel nodes."""
     C, m = W.cov, W.mean
     kappa = C[0, 1] / C[0, 0]
     nz = np.nonzero(W.poly.coef)
@@ -524,7 +527,45 @@ def _t_polys(W: PolyGaussian):
         comp[~np.isfinite(comp)] = 0.0
         dens = np.exp(-0.5 * (xs - m[0]) ** 2 / C[0, 0]) / math.sqrt(2.0 * math.pi * C[0, 0])
         return b, np.linalg.eigvals(comp), dens
-    return at
+    return coef, at
+
+
+def _real_root_count(coef: np.ndarray):
+    """xs -> the number of distinct real roots in t of f = sum_k b_k(x) t^k (coef
+    as in `_t_polys`), without finding them.  By Hermite's theorem it is the
+    signature (#positive - #negative eigenvalues) of the Bezoutian of f and
+    f' = df/dt, the symmetric B with sum_ij B_ij u^i v^j = (f(u) f'(v) - f(v) f'(u))
+    / (u - v).  B is bilinear in the b_k, so B(x) = sum_m x^m B_m is built once.
+    Each call scales B(x) to a diagonal of magnitude 1 (the Jacobi scaling
+    D B D, a congruence: the signature stays) and runs one batched eigvalsh.
+    Eigenvalues within 1e-14 max|lambda|, a few times eigvalsh's backward error
+    at d <= 16, count as zero.  A vanishing b_d only pads B with zeros, so the
+    count is that of f's actual degree.  Where all roots cluster far off the
+    real axis B is ill-conditioned: at n >= 5, five or more marginal standard
+    deviations out, a sign can flip and add panel edges there."""
+    d = coef.shape[1] - 1
+    deriv = np.zeros_like(coef)
+    deriv[:, :-1] = coef[:, 1:] * np.arange(1, d + 1)
+    # F[m, k, l]: the x^m u^k v^l coefficient of f(u) f'(v) - f(v) f'(u)
+    G = np.einsum("pk,ql->pqkl", coef, deriv)
+    G -= G.transpose(0, 1, 3, 2)
+    F = np.zeros((2 * len(coef) - 1, d + 1, d + 1))
+    for p in range(len(coef)):
+        F[p:p + len(coef)] += G[p]
+    # F = (u - v) B, so B_ij = sum_(r >= 1) F_(i + r, j + 1 - r)
+    B = np.zeros((len(F), d, d))
+    for r in range(1, d + 1):
+        B[:, :d - r + 1, r - 1:] += F[:, r:, :d - r + 1]
+    B = B.reshape(len(F), d * d)
+
+    def count(xs):
+        M = (np.vander(xs, len(B), increasing=True) @ B).reshape(len(xs), d, d)
+        diag = np.abs(np.diagonal(M, axis1=1, axis2=2))
+        s = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+        lam = np.linalg.eigvalsh(M * s[:, :, None] * s[:, None, :])
+        tol = 1e-14 * np.abs(lam).max(axis=1, initial=0.0)[:, None]
+        return np.sum(lam > tol, axis=1) - np.sum(lam < -tol, axis=1)
+    return count
 
 
 def wigner_negativity(W: PolyGaussian) -> float:
@@ -535,18 +576,24 @@ def wigner_negativity(W: PolyGaussian) -> float:
     a sum of incomplete Gaussian moments between the roots in t.  The real
     parts of all roots cut the t axis (a complex pair's cut only splits an
     interval of one sign).  The x integral is Gauss-Legendre on panels whose
-    edges are the x where the real-root count changes.
+    edges are the x where the real-root count changes.  The sweep and the
+    bisection read that count from the inertia of the Bezoutian
+    (`_real_root_count`); the roots themselves (companion eigenvalues, one
+    batched eigvals) are computed at the panel nodes only.
+
+    Accuracy: the p integral is exact, the x quadrature is not.  Where a pair
+    of roots meets, the integrand has a (x0 - x)^(3/2) branch point at the panel
+    edge, so the error falls algebraically with the node count.  On 50 n = 2
+    states of the benchmark's quality_scan (seed 901), 48 -> 192 nodes moves
+    delta by 1e-9 typically and by 9.0e-7 at most; that state's error against
+    384 nodes is -9.1e-7, 6.7e-8 and -9.7e-9 at 48, 96 and 192 nodes.
     """
     if W.nvars != 2:
         raise ContractError("wigner_negativity is defined for 2-variable states")
     _require_normalized(W)
 
-    t_polys = _t_polys(W)
-
-    def n_real(x):
-        r = t_polys(x)[1]
-        return np.sum(np.abs(r.imag) <= 1e-9 * np.maximum(1.0, np.abs(r.real)), axis=1)
-
+    coef, t_polys = _t_polys(W)
+    n_real = _real_root_count(coef)
     half = NEG_SPAN * math.sqrt(W.cov[0, 0])
     xs = W.mean[0] + np.linspace(-half, half, NEG_SWEEP)
     count = n_real(xs)

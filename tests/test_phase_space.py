@@ -9,10 +9,12 @@ from cvngs import (CovMatrix, EpsStage, GridSpec, MeasurementSpec, MultiPoly,
                    covariance_after_pulse, eps_pipeline, evaluate_grid,
                    gaussian_wigner, initial_covariance, marginal,
                    multiply_gaussian_window, normalize, overlap, project_XC,
-                   qn_polynomial, sigma_from_cov, subtract_photon,
+                   qn_polynomial, sigma_from_cov, solve_gain, subtract_photon,
                    wigner_negativity)
+from cvngs import phase_space
 from cvngs.exceptions import ContractError, DomainError
-from cvngs.phase_space import PC, XC, _along, _compose_axis, _linear, translate
+from cvngs.phase_space import (NEG_SPAN, NEG_SWEEP, PC, XC, _along, _compose_axis, _linear,
+                               _real_root_count, _t_polys, translate)
 
 
 def pulsed_V(R=0.5, db=-6.0, gamma=1.6):
@@ -66,6 +68,78 @@ def reference_subtract(W):
     acc = acc + x * d(p, XC) + pp * d(p, PC)
     acc = acc + d(d(p, XC), XC).scale(0.25) + d(d(p, PC), PC).scale(0.25)
     return acc.scale(0.5)
+
+
+def companion_real_count(coef, xs):
+    """Reference for `_real_root_count`: the count `wigner_negativity` read from
+    the companion eigenvalues of sum_k b_k(x) t^k, those whose imaginary part is
+    within 1e-9 max(1, |real part|)."""
+    dp = coef.shape[1] - 1
+    b = np.vander(xs, len(coef), increasing=True) @ coef
+    comp = np.zeros((len(xs), dp, dp))
+    comp[:, 1:, :-1] = np.eye(max(dp - 1, 0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        comp[:, :, -1:] = (-b[:, :dp] / b[:, dp:])[:, :, None]
+    comp[~np.isfinite(comp)] = 0.0
+    r = np.linalg.eigvals(comp)
+    return np.sum(np.abs(r.imag) <= 1e-9 * np.maximum(1.0, np.abs(r.real)), axis=1)
+
+
+def companion_negativity(W, monkeypatch):
+    """`wigner_negativity` by the companion count: the same sweep, bisection and
+    panels with `companion_real_count` in place of the Bezoutian's inertia."""
+    with monkeypatch.context() as m:
+        m.setattr(phase_space, "_real_root_count",
+                  lambda coef: lambda xs: companion_real_count(coef, xs))
+        return wigner_negativity(W)
+
+
+def sweep_points(W):
+    """The x at which `wigner_negativity` sweeps the real-root count."""
+    half = NEG_SPAN * math.sqrt(W.cov[0, 0])
+    return W.mean[0] + np.linspace(-half, half, NEG_SWEEP)
+
+
+def fine_grid_state(n, theta, zeta, xi):
+    """One lossless n-photon stage at R = 0.9, gamma = 0, measured at (theta, zeta)."""
+    V = pulsed_V(R=0.9, gamma=0.0)
+    spec = PipelineSpec(stages=(EpsStage(solve_gain(sigma_from_cov(V), xi), n),),
+                        measurement=MeasurementSpec(theta=theta, zeta=zeta))
+    return eps_pipeline(V, spec)
+
+
+def seeded_state(n, theta, seed):
+    """One n-photon stage with loss, mu < 1 and dark counts, drawn from `seed`."""
+    u = np.random.default_rng(seed).random(8)
+    V = pulsed_V(R=0.5 + 0.4 * u[0], db=-7.0 + 3.0 * u[1], gamma=1.6 * u[2])
+    meas = MeasurementSpec(theta=theta, zeta=u[4] - 0.5, mu=0.8 + 0.2 * u[5])
+    spec = PipelineSpec(stages=(EpsStage(solve_gain(sigma_from_cov(V), 0.4 + 0.5 * u[3]), n),),
+                        measurement=meas, eta=0.85 + 0.15 * u[6], dark_count=0.95 + 0.05 * u[7])
+    return eps_pipeline(V, spec)
+
+
+def hand_built_state(kind):
+    """t-degree 0 (a Gaussian), t-degree 1, or 1 + (x - 0.3) p^2, whose leading
+    t-coefficient vanishes at x = 0.3, on a correlated kernel."""
+    if kind == "gaussian":
+        return marginal(gaussian_wigner(pulsed_V()), [0, 1])
+    cov, coef = np.array([[0.6, 0.2], [0.2, 0.5]]), np.zeros((2, 3))
+    coef[0, 0] = 1.0
+    if kind == "t-degree-1":
+        coef[0, 1], coef[1, 0] = 0.8, 0.3
+    else:
+        coef[0, 2], coef[1, 2] = -0.3, 1.0
+    return normalize(PolyGaussian(cov, np.array([0.1, -0.2]), MultiPoly(coef)))
+
+
+SYMMETRIC_FOCK2 = (2, 0.0, 0.0, 0.9)    # p-symmetric: its count jumps 4 -> 0 at one x
+
+# (photon number, builder, arguments): the states of the real-root-count tests
+COUNT_CASES = ([pytest.param(n, seeded_state, (n, theta, seed), id=f"n{n}-theta{theta}-seed{seed}")
+                for seed in (0, 1) for n in range(1, 7) for theta in (0.0, 0.4)]
+               + [pytest.param(2, fine_grid_state, SYMMETRIC_FOCK2, id="fock2-symmetric")]
+               + [pytest.param(0, hand_built_state, (kind,), id=kind)
+                  for kind in ("gaussian", "t-degree-1", "t-lead-vanishes")])
 
 
 def random_poly(rng, nvars, deg, pad=0):
@@ -374,13 +448,12 @@ class TestGridAndNegativity:
                   project_XC(gaussian_wigner(pulsed_V(R=0.7)), eps=0.1, zeta=1.2)):
             assert wigner_negativity(W) < 1e-12
 
-    @pytest.mark.parametrize("n, theta", [(2, 0.3), (3, 0.5), (6, 0.2)])
-    def test_negativity_matches_fine_grid(self, n, theta):
-        from cvngs import EpsStage, MeasurementSpec, PipelineSpec, eps_pipeline, solve_gain
-        V = pulsed_V(R=0.9, gamma=0.0)
-        spec = PipelineSpec(stages=(EpsStage(solve_gain(sigma_from_cov(V), 0.5), n),),
-                            measurement=MeasurementSpec(theta=theta, zeta=0.4))
-        W = eps_pipeline(V, spec)
+    @pytest.mark.parametrize("n, theta, zeta, xi",
+                             [(2, 0.3, 0.4, 0.5), (3, 0.5, 0.4, 0.5), (6, 0.2, 0.4, 0.5),
+                              SYMMETRIC_FOCK2],
+                             ids=["2-0.3", "3-0.5", "6-0.2", "2-0.0-symmetric"])
+    def test_negativity_matches_fine_grid(self, n, theta, zeta, xi):
+        W = fine_grid_state(n, theta, zeta, xi)
         # Riemann sum of |W| - W on a 1601^2 grid; the polynomial on the grid
         # is V_x C V_p^T with C its dense coefficient matrix
         half = float(np.max(np.abs(W.mean) + 9.0 * np.sqrt(np.diag(W.cov))))
@@ -405,6 +478,43 @@ class TestGridAndNegativity:
     def test_degenerate_grid_rejected(self):
         with pytest.raises(DomainError):
             GridSpec(0.0, 0.0, 100)
+
+
+class TestRealRootCount:
+    @pytest.mark.parametrize("n, build, args", COUNT_CASES)
+    def test_equals_companion_count(self, n, build, args):
+        W = build(*args)
+        coef, _ = _t_polys(W)
+        xs = sweep_points(W)
+        want = companion_real_count(coef, xs)
+        assert np.array_equal(_real_root_count(coef)(xs), want)
+        if args == SYMMETRIC_FOCK2:
+            # two root pairs meet at one x: the discriminant keeps its sign there
+            assert {(4, 0), (0, 4)} <= set(zip(want[:-1].tolist(), want[1:].tolist()))
+
+    @pytest.mark.parametrize("n, build, args", [c for c in COUNT_CASES if c.values[0] <= 4])
+    def test_delta_bit_identical_to_companion_route(self, n, build, args, monkeypatch):
+        W = build(*args)
+        assert wigner_negativity(W).hex() == companion_negativity(W, monkeypatch).hex()
+
+    def test_far_tail_disagreement_moves_no_delta(self, monkeypatch):
+        # a known limit in float64: where all roots cluster far off the real
+        # axis the scaled Bezoutian is ill-conditioned, and at n >= 5 an
+        # eigenvalue's sign can flip (4 of 480 seeded n <= 6 states, this one
+        # among them, all beyond 7 sigma).  The extra panel edges fall where W
+        # has no negative part.
+        W = seeded_state(6, 0.0, 16)
+        coef, _ = _t_polys(W)
+        xs = sweep_points(W)
+        off = _real_root_count(coef)(xs) != companion_real_count(coef, xs)
+        assert np.all(np.abs(xs[off] - W.mean[0]) > 7.0 * math.sqrt(W.cov[0, 0]))
+        assert wigner_negativity(W) == companion_negativity(W, monkeypatch)
+
+    def test_one_eigvals_call_per_negativity(self, monkeypatch):
+        calls, eigvals = [], np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+        wigner_negativity(fine_grid_state(*SYMMETRIC_FOCK2))
+        assert len(calls) == 1
 
 
 class TestEquality:
