@@ -20,7 +20,7 @@ from .metrics_targets import (CatFit, StateMetrics, TargetState, cat_fit,
 from .phase_space import (GridSpec, MultiPoly, PolyGaussian, amplify_wigner,
                           apply_linear_map, evaluate_grid, gaussian_wigner,
                           marginal, multiply_gaussian_window, normalize,
-                          overlap, project_XC, qn_polynomial, subtract_photon,
+                          overlap, project_XC, qn_polynomial,
                           wigner_negativity)
 from .pulse_dynamics import (PulseSpec, SystemParams, correlation_sweep,
                              covariance_after_pulse)

@@ -9,12 +9,12 @@ homodyne projection, 2 after).  All pipeline operators map this family to
 itself exactly; grids are only a rendering step.
 
 poly is a dense coefficient tensor, one axis per variable.  Every affine change
-of variables (shift, amplifier, rotation, the marginal's decoupling shear) runs
-through one kernel, `_compose_axis`, a one-variable Horner substitution; a
-general linear map is LU-factored into such steps, each run only on the box
-its accumulator's degree can fill (bit-identical to the full box).  Photon
-subtraction builds each first derivative once; its weight stays in `norm`, and
-`eps_pipeline` checks it once per stage.  Gaussian integrals sum the
+of variables runs through `_compose_axis`, a one-variable Horner substitution;
+a linear map is LU-factored into such steps.  Photon subtraction runs in the
+kernel's photon frame: lambda = u_C - (cov^-1 (u - mean))_C / 2 are two linear
+forms, and n subtractions are a bivariate recursion in them.  The homodyne
+window is a Gaussian along X_theta, and the integral over the optical mode a 2-D
+blur of f(lambda) followed by lambda = K y + b.  Gaussian integrals sum the
 coefficients against a table of raw moments, batched over means.  The Wigner
 negativity is exact in p; its x panels end where the number of real roots in
 p changes, counted from the inertia of a Bezoutian built once per state.
@@ -36,6 +36,7 @@ from .gaussian_core import (CovMatrix, SigmaMatrix, amplifier_block,
 
 # axis indices in the joint ordering
 XM, PM, XC, PC = 0, 1, 2, 3
+BY_C = np.eye(4)[[XC, PC, XM, PM]]      # u -> (X_C, P_C, X_M, P_M)
 
 
 def _along(axis: int, index) -> tuple:
@@ -293,36 +294,6 @@ def _require_normalized(W: PolyGaussian) -> None:
         raise ContractError(f"state is not normalized (mass {mass:.6e}); call normalize()")
 
 
-def subtract_photon(W: PolyGaussian) -> PolyGaussian:
-    """Single photon subtraction on the optical mode, as the exact second-order
-    differential operator acting on poly * Gaussian.  Degree grows by 2; the
-    result is left unnormalized so norm tracks the subtraction weight."""
-    if W.nvars != 4:
-        raise ContractError("subtract_photon acts on the joint 4-variable state")
-    n = 4
-    ci = np.linalg.inv(W.cov)
-    p = W.poly
-
-    def d(poly: MultiPoly, k: int) -> MultiPoly:
-        # derivative of poly * N, divided by N: d/du_k N = -[cov^-1 (u - mean)]_k N
-        return poly.diff(k) + _linear(ci[k] @ W.mean, -ci[k]) * poly
-
-    x = MultiPoly.variable(n, XC)
-    pp = MultiPoly.variable(n, PC)
-    dx, dp = d(p, XC), d(p, PC)
-    # 0.5 [(x^2 + p^2 + 1) p + x d_x p + p d_p p + (d_x d_x p + d_p d_p p) / 4],
-    # summed left to right into one array; u_k d_k p is d_k p one step up axis k
-    at, zero = np.eye(n, dtype=int), np.zeros(n, dtype=int)
-    parts = [(((x * x + pp * pp + MultiPoly.constant(n)) * p).coef, zero),
-             (dx.coef, at[XC]), (dp.coef, at[PC]),
-             (d(dx, XC).coef * 0.25, zero), (d(dp, PC).coef * 0.25, zero)]
-    acc = np.zeros(np.max([np.add(c.shape, o) for c, o in parts], axis=0))
-    for c, o in parts:
-        acc[tuple(map(slice, o, np.add(o, c.shape)))] += c
-    acc *= 0.5
-    return PolyGaussian(W.cov, W.mean, MultiPoly(acc), W.norm)
-
-
 def qn_polynomial(sigma: SigmaMatrix, n: int) -> MultiPoly:
     """Q_n polynomial of the n-photon-subtracted Gaussian Wigner function.
 
@@ -347,6 +318,75 @@ def qn_polynomial(sigma: SigmaMatrix, n: int) -> MultiPoly:
              + lx.scale(-1.0) * q.diff(XC) + lp.scale(-1.0) * q.diff(PC)
              + (q.diff(XC).diff(XC) + q.diff(PC).diff(PC)).scale(0.25))
     return q
+
+
+def _photon_frame(cov: np.ndarray, mean: np.ndarray) -> tuple:
+    """(M, o, J, c) of the kernel N(u; mean, cov), A = cov^-1: the coordinates
+    w = M u + o = (lambda, X_M, P_M) with lambda = P (u - mean) + mean_C and
+    P = [0 I] - A_(C,:) / 2; J = I - A_CC / 2 = dlambda/du_C, c = 1 - tr A_CC / 4."""
+    A = np.linalg.inv(cov)
+    M = np.vstack([np.eye(2, 4, 2) - 0.5 * A[2:], np.eye(2, 4)])
+    return M, np.r_[mean[2:] - M[:2] @ mean, 0, 0], M[:2, 2:], 1 - 0.25 * np.trace(A[2:, 2:])
+
+
+def _subtract_in_frame(f: np.ndarray, J: np.ndarray, c: float) -> np.ndarray:
+    """One photon subtraction f N -> g N for f over lambda, where d/du_C = J^T grad:
+    g = [(|lambda|^2 + c) f + lambda^T J^T grad f + tr(J^T H J) / 4] / 2."""
+    s0, s1 = f.shape
+    e0, e1 = np.arange(s0)[:, None], np.arange(s1)
+    Q = 0.25 * J @ J.T
+    g = np.zeros((s0 + 2, s1 + 2))
+    g[:s0, :s1] = (c + J[0, 0] * e0 + J[1, 1] * e1) * f
+    g[2:, :s1] += f
+    g[:s0, 2:] += f
+    g[:s0 - 1, 1:s1 + 1] += J[0, 1] * e0[1:] * f[1:]
+    g[1:s0 + 1, :s1 - 1] += J[1, 0] * e1[1:] * f[:, 1:]
+    g[:max(s0 - 2, 0), :s1] += Q[0, 0] * (e0 * (e0 - 1))[2:] * f[2:]
+    g[:s0, :max(s1 - 2, 0)] += Q[1, 1] * (e1 * (e1 - 1))[2:] * f[:, 2:]
+    g[:s0 - 1, :s1 - 1] += (Q[0, 1] + Q[1, 0]) * (e0[1:] * e1[1:]) * f[1:, 1:]
+    return 0.5 * g
+
+
+def _subtract_over_u(f: np.ndarray, lam: np.ndarray, c: float) -> np.ndarray:
+    """`_subtract_in_frame` for f over w = (X_C, P_C, X_M, P_M), lambda = lam . (1, w)."""
+    f, (lx, lp) = MultiPoly(f), (_linear(row[0], row[1:]) for row in lam)
+    dx, dp = f.diff(0), f.diff(1)
+    return ((lx * lx + lp * lp + MultiPoly.constant(4, c)) * f + lx * dx + lp * dp
+            + (dx.diff(0) + dp.diff(1)).scale(0.25)).scale(0.5).coef
+
+
+def _project_frame(f: np.ndarray, M: np.ndarray, o: np.ndarray, cov: np.ndarray,
+                   mean: np.ndarray, theta: float, eps: float, zeta: float,
+                   mu: float) -> PolyGaussian:
+    """Homodyne projection of f(w) N(u; mean, cov), w = M u + o, onto X_theta =
+    cos(theta) X_C + sin(theta) P_C = zeta, unnormalized.  For f over lambda = w_01,
+    lambda | (X_M, P_M) = y is N(K y + b, S) under the windowed kernel: the integral
+    over the optical mode is the blur sum_k (grad^T S grad / 2)^k f / k!, at K y + b."""
+    if eps <= 0:
+        raise DomainError(f"measurement error must be positive, got {eps}")
+    if not 0.0 < mu <= 1.0:
+        raise DomainError(f"homodyne efficiency must lie in (0, 1], got {mu}")
+    d = np.array([0.0, 0.0, math.cos(theta), math.sin(theta)])
+    Wd = multiply_gaussian_window(PolyGaussian(cov, mean, MultiPoly.constant(4)), d, zeta /
+                                  np.sqrt(mu), np.sqrt((eps * eps + (1.0 - mu) / 2.0) / mu))
+    if f.ndim == 4:                 # f over all of w (a later stage, project_XC): in u
+        return marginal(PolyGaussian(Wd.cov, Wd.mean, MultiPoly(f).substitute_linear(M, o)),
+                        [XM, PM])
+    C, m = Wd.cov, Wd.mean
+    G = C[2:, :2] @ np.linalg.inv(C[:2, :2])
+    S = M[:2, 2:] @ (C[2:, 2:] - G @ C[:2, :2] @ G.T) @ M[:2, 2:].T
+    K, b = M[:2, :2] + M[:2, 2:] @ G, o[:2] + M[:2, 2:] @ (m[2:] - G @ m[:2])
+    e0, e1 = np.arange(f.shape[0])[:, None], np.arange(f.shape[1])
+    h, term, k = f.copy(), f, 0
+    while term.any():               # each step lowers the degree by 2
+        k += 1
+        nxt = np.zeros_like(term)
+        nxt[:-2] = 0.5 * S[0, 0] * (e0 * (e0 - 1))[2:] * term[2:]
+        nxt[:, :-2] += 0.5 * S[1, 1] * (e1 * (e1 - 1))[2:] * term[:, 2:]
+        nxt[:-1, :-1] += 0.5 * (S[0, 1] + S[1, 0]) * (e0[1:] * e1[1:]) * term[1:, 1:]
+        term = nxt / k
+        h += term
+    return PolyGaussian(C[:2, :2], m[:2], MultiPoly(h).substitute_linear(K, b))
 
 
 def amplify_wigner(W: PolyGaussian, g_quad: float, n_quad: float = 0.0) -> PolyGaussian:
@@ -375,17 +415,16 @@ def translate(W: PolyGaussian, shift) -> PolyGaussian:
                         W.poly.substitute_linear(np.eye(W.nvars), -shift), W.norm)
 
 
-def multiply_gaussian_window(W: PolyGaussian, axis: int, center: float,
+def multiply_gaussian_window(W: PolyGaussian, axis, center: float,
                              std: float) -> PolyGaussian:
-    """Multiply by exp(-(u_axis - center)^2 / (2 std^2)) / sqrt(2 std^2)."""
+    """Multiply by exp(-(d.u - center)^2 / (2 std^2)) / sqrt(2 std^2), d = e_axis or axis."""
     if std <= 0:
         raise DomainError(f"window width must be positive, got {std}")
+    d = np.eye(W.nvars)[axis] if np.ndim(axis) == 0 else np.asarray(axis, dtype=float)
     A = np.linalg.inv(W.cov)
     b = A @ W.mean
-    A2 = A.copy()
-    A2[axis, axis] += 1.0 / std ** 2
-    b2 = b.copy()
-    b2[axis] += center / std ** 2
+    A2 = A + np.outer(d, d) / std ** 2
+    b2 = b + d * center / std ** 2
     cov2 = np.linalg.inv(A2)
     cov2 = 0.5 * (cov2 + cov2.T)
     mean2 = cov2 @ b2
@@ -439,15 +478,8 @@ def project_XC(W: PolyGaussian, eps: float, zeta: float = 0.0,
     """
     if W.nvars != 4:
         raise ContractError("project_XC acts on the joint 4-variable state")
-    if eps <= 0:
-        raise DomainError(f"measurement error must be positive, got {eps}")
-    if not 0.0 < mu <= 1.0:
-        raise DomainError(f"homodyne efficiency must lie in (0, 1], got {mu}")
-    std = np.sqrt((eps * eps + (1.0 - mu) / 2.0) / mu)
-    center = zeta / np.sqrt(mu)
-    out = multiply_gaussian_window(W, XC, center, std)
-    out = marginal(out, [XM, PM])
-    return normalize(out)
+    f = np.transpose(W.poly.coef, (2, 3, 0, 1))         # over (X_C, P_C, X_M, P_M)
+    return normalize(_project_frame(f, BY_C, np.zeros(4), W.cov, W.mean, 0.0, eps, zeta, mu))
 
 
 # ---------------------------------------------------------------------------

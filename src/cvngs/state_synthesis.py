@@ -15,11 +15,11 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .exceptions import ContractError, DomainError, ZeroWeightError
-from .gaussian_core import (CovMatrix, SigmaMatrix, cov_from_sigma,
+from .gaussian_core import (CovMatrix, SigmaMatrix, amplifier_block, cov_from_sigma,
                             loss_channel_sigma, sigma_from_cov)
-from .phase_space import (MultiPoly, PolyGaussian, _expect, _linear,
-                          amplify_wigner, apply_linear_map, gaussian_wigner,
-                          normalize, project_XC, subtract_photon)
+from .phase_space import (BY_C, MultiPoly, PolyGaussian, _expect, _linear, _photon_frame,
+                          _project_frame, _subtract_in_frame, _subtract_over_u,
+                          apply_linear_map, gaussian_wigner, normalize)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -99,42 +99,50 @@ class PipelineSpec:
             raise DomainError(f"herald fidelity must lie in (0, 1], got {self.dark_count}")
 
 
-def _rotation_on_C(theta: float) -> np.ndarray:
-    """Phase-space rotation bringing the measured quadrature X_theta onto X_C."""
-    c, s = math.cos(theta), math.sin(theta)
-    T = np.eye(4)
-    T[2:, 2:] = np.array([[c, s], [-s, c]])
-    return T
-
-
 def eps_pipeline(V: CovMatrix, spec: PipelineSpec) -> PolyGaussian:
     """Run the full EPS chain on the two-mode Gaussian state V.
 
-    Order: transmission loss -> per stage (amplify, subtract^n) -> dark-count
-    mixing -> homodyne window projection -> normalize.  Returns the
-    2-variable mechanical Wigner function.
+    Order: transmission loss -> per stage (amplify the kernel, subtract^n) ->
+    dark-count mixing -> homodyne window along X_theta -> integral over the
+    optical mode -> normalize.  Returns the 2-variable mechanical Wigner function.
+    The state is f(w) N(u; 0, V_k) with w = M u + o.  The first stage that
+    subtracts runs in its photon frame, f over lambda alone; a later one carries f
+    over u, as its own frame would invert J and lose (1/s_min(J))^deg f to round-off.
     """
     if spec.eta < 1.0:
         V = cov_from_sigma(loss_channel_sigma(sigma_from_cov(V), spec.eta))
-    joint = gaussian_wigner(V)
+    cov, mean = gaussian_wigner(V).cov, np.zeros(4)
+    f, M, o = np.ones((1, 1)), BY_C, np.zeros(4)
     for k, stage in enumerate(spec.stages):
-        joint = amplify_wigner(joint, stage.quad_gain, stage.quad_noise)
+        T = np.diag([1.0, 1.0, *np.diag(amplifier_block(stage.quad_gain, stage.quad_noise))])
+        cov, M = T @ cov @ T.T, M @ np.linalg.inv(T)
+        if not stage.n:
+            continue
+        M_k, o_k, J, c = _photon_frame(cov, mean)
+        if f.size == 1:     # the first stage that subtracts: f over its lambda alone
+            M, o, lam = M_k, o_k, None
+        else:               # a later one: f over (X_C, P_C, X_M, P_M) itself
+            f = MultiPoly(f.reshape(f.shape + (1,) * (4 - f.ndim))).substitute_linear(
+                M @ BY_C.T, o).coef
+            M, o, lam = BY_C, np.zeros(4), np.c_[o_k[:2], M_k[:2] @ BY_C.T]
         for _ in range(stage.n):
-            unheralded = joint    # a dark count fires one subtraction short
-            joint = subtract_photon(joint)
-        # a state the annihilation operator has killed stays dead, so one check
-        # after the stage's last subtraction catches it
-        if stage.n and joint.total_mass() <= 0:
+            unheralded = f      # a dark count fires one subtraction short
+            f = _subtract_in_frame(f, J, c) if lam is None else _subtract_over_u(f, lam, c)
+        # a killed state stays dead: one check after the stage's last subtraction
+        if _frame_state(f, M, o, cov, mean).total_mass() <= 0:
             raise ZeroWeightError(
                 f"zero-weight branch: subtraction in stage {k} annihilated the state")
     if spec.dark_count < 1.0 and spec.stages and spec.stages[-1].n > 0:
-        joint = dark_count_mix(joint, unheralded, spec.dark_count)
-
+        f = dark_count_mix(_frame_state(f, M, o, cov, mean),
+                           _frame_state(unheralded, M, o, cov, mean), spec.dark_count).poly.coef
     m = spec.measurement
-    if m.theta != 0.0:
-        # rotate the measured quadrature X_theta onto X_C just before projecting
-        joint = apply_linear_map(joint, _rotation_on_C(m.theta))
-    return project_XC(joint, m.eps, m.zeta, m.mu)
+    return normalize(_project_frame(f, M, o, cov, mean, m.theta, m.eps, m.zeta, m.mu))
+
+
+def _frame_state(f, M, o, cov, mean) -> PolyGaussian:
+    """f(w) N(u; mean, cov) pushed forward to w = M u + o (its first f.ndim rows)."""
+    M, o = M[:f.ndim], o[:f.ndim]
+    return PolyGaussian(M @ cov @ M.T, M @ mean + o, MultiPoly(f))
 
 
 def dark_count_mix(W_heralded: PolyGaussian, W_unheralded: PolyGaussian,

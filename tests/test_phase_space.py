@@ -9,12 +9,12 @@ from cvngs import (CovMatrix, EpsStage, GridSpec, MeasurementSpec, MultiPoly,
                    covariance_after_pulse, eps_pipeline, evaluate_grid,
                    gaussian_wigner, initial_covariance, marginal,
                    multiply_gaussian_window, normalize, overlap, project_XC,
-                   qn_polynomial, sigma_from_cov, solve_gain, subtract_photon,
-                   wigner_negativity)
+                   qn_polynomial, sigma_from_cov, solve_gain, wigner_negativity)
 from cvngs import phase_space
 from cvngs.exceptions import ContractError, DomainError
 from cvngs.phase_space import (NEG_SPAN, NEG_SWEEP, PC, XC, _along, _compose_axis, _linear,
-                               _real_root_count, _t_polys, translate)
+                               _photon_frame, _real_root_count, _subtract_in_frame, _t_polys,
+                               translate)
 
 
 def pulsed_V(R=0.5, db=-6.0, gamma=1.6):
@@ -56,7 +56,8 @@ def full_box_compose(coef, i, const, own, others):
 
 
 def reference_subtract(W):
-    """Reference for `subtract_photon`: the operator as a MultiPoly expression."""
+    """Reference for the photon-frame recursion: one photon subtraction as the
+    second-order operator on the 4-variable box, a MultiPoly expression."""
     ci = np.linalg.inv(W.cov)
     p = W.poly
 
@@ -67,7 +68,19 @@ def reference_subtract(W):
     acc = (x * x + pp * pp + MultiPoly.constant(4)) * p
     acc = acc + x * d(p, XC) + pp * d(p, PC)
     acc = acc + d(d(p, XC), XC).scale(0.25) + d(d(p, PC), PC).scale(0.25)
-    return acc.scale(0.5)
+    return PolyGaussian(W.cov, W.mean, acc.scale(0.5), W.norm)
+
+
+def frame_subtract(W, n=1):
+    """n subtractions from the Gaussian W by the pipeline's photon-frame
+    recursion, written back in u."""
+    assert W.poly.coef.size == 1, "the recursion starts from a constant polynomial"
+    M, o, J, c = _photon_frame(W.cov, W.mean)
+    f = W.poly.coef.reshape(1, 1)
+    for _ in range(n):
+        f = _subtract_in_frame(f, J, c)
+    return PolyGaussian(W.cov, W.mean, MultiPoly(f[:, :, None, None]).substitute_linear(M, o),
+                        W.norm)
 
 
 def companion_real_count(coef, xs):
@@ -253,13 +266,13 @@ class TestGaussianWigner:
 class TestSubtraction:
     def test_vacuum_annihilated(self):
         V = initial_covariance(0.0, 1.0)   # optical block is vacuum
-        W = subtract_photon(gaussian_wigner(V))
+        W = frame_subtract(gaussian_wigner(V))
         assert abs(W.total_mass()) < 1e-14
 
     def test_single_subtraction_matches_q1(self):
         V = pulsed_V(R=0.6)
         sig = sigma_from_cov(V)
-        W = subtract_photon(gaussian_wigner(V))
+        W = frame_subtract(gaussian_wigner(V))
         q1 = qn_polynomial(sig, 1).scale(0.5)   # C-hat = Q_1 / 2 on the Gaussian
         assert coeff_diff(W.poly, q1) < 1e-12
 
@@ -269,9 +282,7 @@ class TestSubtraction:
         rng = np.random.default_rng(seed)
         V = pulsed_V(R=float(rng.uniform(0.2, 0.9)), db=float(rng.uniform(-8, -2)))
         sig = sigma_from_cov(V)
-        W = gaussian_wigner(V)
-        for _ in range(n):
-            W = subtract_photon(W)
+        W = frame_subtract(gaussian_wigner(V), n)
         qn = qn_polynomial(sig, n).scale(0.5 ** n)
         scale = max(abs(c) for c in qn.terms.values())
         assert coeff_diff(W.poly, qn) < 1e-10 * scale
@@ -284,17 +295,17 @@ class TestSubtraction:
         T[2:, 2:] = T[2:, 2:] @ [[math.cos(0.3), math.sin(0.3)], [-math.sin(0.3), math.cos(0.3)]]
         W = apply_linear_map(W, T)
         assert np.all(np.linalg.inv(W.cov) != 0.0) and np.all(W.mean != 0.0)
-        for _ in range(8):
-            want = reference_subtract(W)
-            W = subtract_photon(W)
-            assert W.poly.coef.shape == want.coef.shape
-            assert np.array_equal(W.poly.coef, want.coef)
+        want = W
+        for n in range(1, 9):
+            want = reference_subtract(want)
+            got = frame_subtract(W, n).poly
+            scale = np.abs(want.poly.coef).max()
+            assert coeff_diff(got, want.poly) < 1e-13 * scale
 
     def test_degree_grows_by_two(self):
         W = gaussian_wigner(pulsed_V())
         for expected in (2, 4, 6):
-            W = subtract_photon(W)
-            assert W.poly.degree == expected
+            assert frame_subtract(W, expected // 2).poly.degree == expected
 
     def test_q0_is_one(self):
         assert qn_polynomial(sigma_from_cov(pulsed_V()), 0).terms == {(0, 0, 0, 0): 1.0}
@@ -312,8 +323,7 @@ class TestSubtraction:
         from cvngs.fock_oracle import apply_annihilate_C, build_entangled_state
         s = 10 ** -0.4
         V = initial_covariance(0.0, s)
-        W = subtract_photon(gaussian_wigner(V))
-        W = normalize(W)
+        W = normalize(frame_subtract(gaussian_wigner(V)))
         # <n_C> from phase space: (<X_C^2> + <P_C^2> - 1)/2 via moments
         Wc = marginal(W, [2, 3])
         from cvngs.phase_space import _moment_table
@@ -347,7 +357,7 @@ class TestAmplify:
     def test_poly_substitution_consistent(self):
         # amplify(subtract(W)) evaluated pointwise equals the pushforward density
         V = pulsed_V(R=0.7)
-        Ws = subtract_photon(gaussian_wigner(V))
+        Ws = reference_subtract(gaussian_wigner(V))
         g = 1.5
         Wa = amplify_wigner(Ws, g, 0.0)
         pts = np.array([[0.3, -0.2, 0.5, 0.1], [1.0, 0.4, -0.7, 0.9]])
@@ -388,7 +398,7 @@ class TestProjection:
         # by tensor Gauss-Hermite on the conditional Gaussian of the dropped axes
         W = amplify_wigner(gaussian_wigner(pulsed_V()), 1.4)
         for _ in range(6):
-            W = subtract_photon(W)
+            W = reference_subtract(W)
         c, s = math.cos(0.3), math.sin(0.3)
         T = np.eye(4)
         T[2:, 2:] = [[c, s], [-s, c]]

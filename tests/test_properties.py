@@ -11,7 +11,8 @@ from cvngs import (CovMatrix, PulseSpec, SqueezeSpec, SystemParams,
                    amplifier_map, check_physical, cov_from_sigma,
                    covariance_after_pulse, epr_steering_MtoC, gaussian_wigner,
                    logarithmic_negativity, loss_channel_sigma, qn_polynomial,
-                   sigma_from_cov, solve_gain, subtract_photon, xi_from_gain)
+                   sigma_from_cov, solve_gain, xi_from_gain)
+from test_phase_space import frame_subtract
 
 
 def random_physical_V(seed, thermal_max=1.5, squeeze_max=1.0):
@@ -107,7 +108,7 @@ def test_qn_degree(seed, n):
 @given(seeds)
 def test_subtraction_degree_growth(seed):
     W = gaussian_wigner(random_physical_V(seed))
-    W1 = subtract_photon(W)
+    W1 = frame_subtract(W)
     assert W1.poly.degree == W.poly.degree + 2
 
 

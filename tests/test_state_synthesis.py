@@ -10,10 +10,10 @@ from cvngs import (EpsStage, GridSpec, MeasurementSpec, PipelineSpec,
                    four_cat_pipeline, four_cat_wavefunction, gaussian_wigner,
                    imperfect_wigner_closed_form, initial_covariance,
                    linear_to_db, loss_channel_sigma, opa_gain, sigma_from_cov,
-                   solve_gain, subtract_photon, wavefunction_XM, xi_from_gain)
+                   solve_gain, wavefunction_XM, xi_from_gain)
 from cvngs.exceptions import ContractError, DomainError, ZeroWeightError
 from cvngs.gaussian_core import SigmaMatrix
-from test_phase_space import coeff_diff
+from test_phase_space import coeff_diff, reference_subtract
 
 
 def pulsed(R=0.9, db=-6.0, gamma=1.6, n_m=0.0):
@@ -215,8 +215,8 @@ class TestDarkCounts:
     def test_limit_cases(self):
         V = pulsed(R=0.5)
         W = gaussian_wigner(V)
-        Wh = subtract_photon(subtract_photon(W))
-        Wu = subtract_photon(W)
+        Wh = reference_subtract(reference_subtract(W))
+        Wu = reference_subtract(W)
         from cvngs import normalize
         m1 = dark_count_mix(Wh, Wu, 1.0)
         assert coeff_diff(m1.poly, normalize(Wh).poly) < 1e-12
@@ -226,8 +226,8 @@ class TestDarkCounts:
     def test_mismatched_kernels_rejected(self):
         V1, V2 = pulsed(R=0.5), pulsed(R=0.6)
         with pytest.raises(ContractError):
-            dark_count_mix(subtract_photon(gaussian_wigner(V1)),
-                           subtract_photon(gaussian_wigner(V2)), 0.9)
+            dark_count_mix(reference_subtract(gaussian_wigner(V1)),
+                           reference_subtract(gaussian_wigner(V2)), 0.9)
 
     def test_small_effect_at_098(self):
         V = pulsed(R=0.5)
