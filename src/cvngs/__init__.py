@@ -17,11 +17,10 @@ from .gaussian_core import (CONVENTION_TAG, CovMatrix, SigmaMatrix, SqueezeSpec,
                             sigma_from_cov)
 from .metrics_targets import (CatFit, StateMetrics, TargetState, cat_fit,
                               fidelity, parity_indicator, score_state)
-from .phase_space import (GridSpec, MultiPoly, PolyGaussian, amplify_wigner,
-                          apply_linear_map, evaluate_grid, gaussian_wigner,
-                          marginal, multiply_gaussian_window, normalize,
-                          overlap, project_XC, qn_polynomial,
-                          wigner_negativity)
+from .phase_space import (GridSpec, MultiPoly, PolyGaussian, apply_linear_map,
+                          evaluate_grid, gaussian_wigner, marginal,
+                          multiply_gaussian_window, normalize, overlap,
+                          project_XC, qn_polynomial, wigner_negativity)
 from .pulse_dynamics import (PulseSpec, SystemParams, correlation_sweep,
                              covariance_after_pulse)
 from .state_synthesis import (EpsStage, MeasurementSpec, PipelineSpec,

@@ -4,8 +4,10 @@ Simulates the whole protocol in the truncated Fock basis, d = N + 1: squeezed
 input, effective beam splitter, amplifier (squeeze unitary), photon
 subtraction, loss (Kraus), windowed homodyne projection, and Wigner rendering.
 A state is held as a square-root factor A of its density matrix, rho = A A^dagger,
-with A of shape (d, d, r) over (m, c, column) for two modes.  Every channel acts
-on the optical axis c of A at O(d^3 r) or less; no d^2 x d^2 matrix is formed.
+with A of shape (d, d, r) over (m, c, column) for two modes.  The beam splitter
+is a recurrence, exact in the box; the squeezes are the only matrix exponentials.
+Every channel acts on the optical axis c of A at O(d^3 r) or less, and the Wigner
+map reads A on a lattice; no d^2 x d^2 matrix is formed.
 The noisy amplifier (n_A > 0) is not completely positive, so it is the one
 pipeline feature the oracle cannot check.  The `oracle` command and the tests
 use it as an independent cross-check; no golden file comes from it.
@@ -13,12 +15,13 @@ use it as an independent cross-check; no golden file comes from it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import gammaln
+from scipy.special import comb
 
 from .exceptions import DomainError, TruncationError, ZeroWeightError
 from .gaussian_core import CovMatrix
@@ -27,7 +30,7 @@ from .pulse_dynamics import PulseSpec, SystemParams
 
 DEFAULT_TRUNCATION = 40
 EDGE_POP_TOL = 1e-6
-MAX_LATTICE = 4096     # lattice points of wigner_from_density: its G stays <= 134 MB
+MAX_LATTICE = 4096     # lattice points of wigner_from_density, which holds (d, lattice) arrays
 
 
 def _annihilation(dim: int) -> np.ndarray:
@@ -38,23 +41,6 @@ def _squeeze_unitary(dim: int, r: float) -> np.ndarray:
     """S(r) = exp(r (a^2 - a'^2)/2): maps X -> e^{-r} X."""
     a = _annihilation(dim)
     return expm(0.5 * r * (a @ a - a.T @ a.T))
-
-
-def _bs_sectors(dim: int, R: float, kmax: int):
-    """exp(-theta (m'c - mc')) with cos(theta) = sqrt(R): m -> sqrt(R) m - sqrt(T) c.
-
-    The generator conserves n_m + n_c, so the unitary is block diagonal over
-    the total-photon-number sectors.  Yields (n_tot, ks, block) for the sectors
-    that hold some k < kmax: block acts on the sector basis |k, n_tot - k>,
-    k in ks, which sits at the flat two-mode indices ks * dim + (n_tot - ks).
-    """
-    theta = math.acos(math.sqrt(R))
-    for n_tot in range(min(2 * dim - 1, dim - 1 + kmax)):
-        ks = np.arange(max(0, n_tot - dim + 1), min(n_tot, dim - 1) + 1)
-        # generator on |k, n-k>: m'c |k, n-k> = sqrt((k+1)(n-k)) |k+1, n-k-1>
-        sub = np.sqrt((ks[:-1] + 1.0) * (n_tot - ks[:-1]))
-        G = np.diag(sub, -1)
-        yield n_tot, ks, expm(-theta * (G - G.T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,9 +134,11 @@ def build_entangled_state(params: SystemParams, pulse: PulseSpec,
     """Exact gamma = 0 construction: squeezed vacuum scattered off the mechanics.
 
     The effective beam splitter maps m -> sqrt(R) m - sqrt(T) c and
-    c -> -(sqrt(T) m + sqrt(R) c).  Thermal initial mechanics (n_m > 0) is
-    supported; gamma > 0 requires the environment modes and is validated at
-    the second-moment level via scattering_covariance instead.
+    c -> -(sqrt(T) m + sqrt(R) c); a creation-operator recurrence applies it,
+    exact for every in-box amplitude, and the input squeeze is the one matrix
+    exponential.  Thermal initial mechanics (n_m > 0) is supported; gamma > 0
+    requires the environment modes and is validated at the second-moment
+    level via scattering_covariance instead.
     """
     if params.gamma_mhz != 0.0:
         raise DomainError("full Fock oracle requires gamma = 0; "
@@ -162,19 +150,24 @@ def build_entangled_state(params: SystemParams, pulse: PulseSpec,
     nb = params.n_m
     p = (nb / (1.0 + nb)) ** np.arange(d)      # thermal weights, vacuum at n_m = 0
     p /= p.sum()
-
-    # input sum_k p_k |k><k| (x) |sq><sq|; column k of psi is P U (|k> (x) sq),
-    # U the beam splitter and P the optical parity (-1)^c, filled sector by
-    # sector without a dense U.  All of it is real, and sqrt(p_k) psi_k are
-    # the columns of the factor; weights below double precision of p_0 are
-    # dropped, which keeps the thermal rank small.
+    # column k of psi is P U (|k> (x) sq), U the beam splitter and P the optical
+    # parity (-1)^c, and sqrt(p_k) psi_k are the columns of the factor; weights
+    # below double precision of p_0 are dropped, which keeps the thermal rank small
     r = int(np.count_nonzero(p > np.finfo(float).eps * p[0]))    # p falls with k
-    psi = np.zeros((d * d, r))
-    for n_tot, ks, block in _bs_sectors(d, pulse.R, r):
-        cs, cols = n_tot - ks, ks < r
-        psi[np.ix_(ks * d + cs, ks[cols])] = (((-1.0) ** cs)[:, None] * block[:, cols]
-                                              * sq[cs[cols]])
-    st = FockState(amps=(psi * np.sqrt(p[:r])).reshape(d, d, r))
+    # P U |0, c> = (-1)^c (sin m' + cos c')^c / sqrt(c!) |0, 0>, cos = sqrt(R):
+    # the amplitude of |i, l> is sq_(i+l) (-1)^(i+l) sqrt(C(i+l, i)) sin^i cos^l
+    cos, sin = math.sqrt(pulse.R), math.sqrt(pulse.T)
+    i, l = np.ogrid[:d, :d]
+    n = i + l                                   # up to 2N photons; sq stops at N
+    sq_n = np.concatenate([sq, np.zeros(d - 1)])[n]
+    psi = np.zeros((d, d, r))
+    psi[..., 0] = (-1.0) ** n * sq_n * np.sqrt(comb(n, i)) * sin ** i * cos ** l
+    # P U m' U' P = cos m' - sin c', and |k + 1> = m' |k> / sqrt(k + 1)
+    sqrt_n = np.sqrt(np.arange(1.0, d))
+    for k in range(r - 1):
+        psi[1:, :, k + 1] = (cos / math.sqrt(k + 1.0)) * sqrt_n[:, None] * psi[:-1, :, k]
+        psi[:, 1:, k + 1] -= (sin / math.sqrt(k + 1.0)) * sqrt_n * psi[:, :-1, k]
+    st = FockState(amps=psi * np.sqrt(p[:r]))
     st.check_edge_population()
     return st
 
@@ -260,8 +253,7 @@ def _loss_amplitudes(dim: int, eta: float) -> np.ndarray:
     """a[k, i] with K_k |i + k> = a[k, i] |i> for the loss Kraus operators
     K_k = sqrt((1-eta)^k/k!) eta^(n/2) a^k: a[k, i]^2 = C(i+k, k) (1-eta)^k eta^i."""
     ks, i = np.ogrid[:dim, :dim]
-    log_binom = gammaln(i + ks + 1.0) - gammaln(i + 1.0) - gammaln(ks + 1.0)
-    return np.sqrt(np.exp(log_binom) * (1.0 - eta) ** ks * eta ** i)
+    return np.sqrt(comb(i + ks, ks) * (1.0 - eta) ** ks * eta ** i)
 
 
 def apply_loss(state: FockState, eta: float) -> FockState:
@@ -291,6 +283,13 @@ def _loss_adjoint(Pi: np.ndarray, eta: float) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _hermgauss(deg: int) -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = np.polynomial.hermite.hermgauss(deg)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _window_povm(dim: int, zeta: float, eps: float) -> np.ndarray:
     """Pi = int w(x) |x><x| dx with w = exp(-(x-zeta)^2/(2 eps^2)), computed by
     Gauss-Hermite quadrature on the combined Gaussian weight (exact for the
@@ -300,7 +299,7 @@ def _window_povm(dim: int, zeta: float, eps: float) -> np.ndarray:
     alpha = 1.0 + 1.0 / (2.0 * eps * eps)
     beta = zeta / (eps * eps)
     gamma = zeta * zeta / (2.0 * eps * eps)
-    nodes, weights = np.polynomial.hermite.hermgauss(max(64, dim + 12))
+    nodes, weights = _hermgauss(max(64, dim + 12))
     xs = nodes / math.sqrt(alpha) + beta / (2.0 * alpha)
     psi = _hermite_functions(xs, dim - 1)
     # e^{-x^2} e^{-(x-zeta)^2/2eps^2} = e^{-alpha x^2 + beta x - gamma}; the GH
@@ -336,7 +335,7 @@ def wigner_from_density(state: FockState, grid: GridSpec = GridSpec()) -> np.nda
     if state.n_modes != 1:
         raise DomainError("wigner_from_density expects the reduced single-mode state")
     st = state.normalized()
-    rho, d = st.density(), st.dim
+    A, d = st.amps, st.dim
     # psi_m(x + y/2) psi_n(x - y/2) e^{-ipy} is band-limited in y to
     # sqrt(2d + 1) + |p|.  The y step resolves that band four times over and
     # divides 2 x (grid step), so every x +- y/2 lies on one lattice u of
@@ -348,14 +347,24 @@ def wigner_from_density(state: FockState, grid: GridSpec = GridSpec()) -> np.nda
     L = q * (grid.n - 1) + 2 * K + 1        # the u lattice, long for a wide or a fine grid
     if L > MAX_LATTICE:
         raise DomainError(f"{grid} needs a {L}-point lattice, above {MAX_LATTICE}")
-    k = np.arange(-K, K + 1)
+    if A.shape[1] > d:                      # rho = A A' = R' R, R the (d, d) factor of A'
+        A = np.linalg.qr(A.conj().T, mode="r").conj().T
     u = grid.xmin + (np.arange(L) - K) * (dy / 2.0)
-    psi = _hermite_functions(u, d - 1)
-    G = psi.T @ rho @ psi                       # <u_a|rho|u_b>
-    j = q * np.arange(grid.n)[:, None] + K
-    M = G[j + k, j - k]                         # <x + y/2|rho|x - y/2>
-    yp = np.outer(dy * k, grid.axis)            # Re(M e^{-i y p})
-    return (M.real @ np.cos(yp) + M.imag @ np.sin(yp)) * dy / (2.0 * math.pi)
+    phi = A.T @ _hermite_functions(u, d - 1)    # <u_a|A_col>, (r, L)
+    # M[a, k] = <x_a + y_k/2|rho|x_a - y_k/2> for k >= 0, read through windows of
+    # K + 1 lattice points that start q apart, the backward ones on a reversed
+    # copy of the lattice; k < 0 is its conjugate
+    windows = functools.partial(np.lib.stride_tricks.sliding_window_view,
+                                window_shape=K + 1, axis=1)
+    fwd = windows(phi)[:, K::q][:, :grid.n]
+    bwd = windows(phi[:, ::-1].conj())[:, L - 1 - K::-q][:, :grid.n]
+    M = np.einsum("cak,cak->ak", fwd, bwd)
+    M[:, 1:] *= 2.0
+    yp = np.outer(dy * np.arange(K + 1), grid.axis)   # Re(M e^{-i y p})
+    W = M.real @ np.cos(yp)
+    if np.iscomplexobj(M):
+        W += M.imag @ np.sin(yp)
+    return W * (dy / (2.0 * math.pi))
 
 
 def run_eps_oracle(params: SystemParams, pulse: PulseSpec, g_A_var: float,

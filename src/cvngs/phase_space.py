@@ -31,8 +31,8 @@ from scipy.linalg import lu
 from scipy.special import ndtr
 
 from .exceptions import ContractError, DomainError
-from .gaussian_core import (CovMatrix, SigmaMatrix, amplifier_block,
-                            check_physical, require_xp_decoupled)
+from .gaussian_core import (CovMatrix, SigmaMatrix, check_physical,
+                            require_xp_decoupled)
 
 # axis indices in the joint ordering
 XM, PM, XC, PC = 0, 1, 2, 3
@@ -387,16 +387,6 @@ def _project_frame(f: np.ndarray, M: np.ndarray, o: np.ndarray, cov: np.ndarray,
         term = nxt / k
         h += term
     return PolyGaussian(C[:2, :2], m[:2], MultiPoly(h).substitute_linear(K, b))
-
-
-def amplify_wigner(W: PolyGaussian, g_quad: float, n_quad: float = 0.0) -> PolyGaussian:
-    """Phase-sensitive amplification of the optical mode: X_C -> g X_C and
-    P_C -> (1+n)/g P_C as a density pushforward (quadrature-domain gains)."""
-    if W.nvars != 4:
-        raise ContractError("amplify_wigner acts on the joint 4-variable state")
-    T = np.eye(4)
-    T[2:, 2:] = amplifier_block(g_quad, n_quad)
-    return apply_linear_map(W, T)
 
 
 def apply_linear_map(W: PolyGaussian, T: np.ndarray) -> PolyGaussian:

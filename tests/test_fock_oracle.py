@@ -9,7 +9,9 @@ from scipy.special import eval_laguerre
 from cvngs import (EpsStage, GridSpec, MeasurementSpec, PipelineSpec,
                    PulseSpec, SystemParams, covariance_after_pulse,
                    eps_pipeline, evaluate_grid, sigma_from_cov, solve_gain)
+from cvngs import fock_oracle
 from cvngs.exceptions import DomainError, TruncationError, ZeroWeightError
+from cvngs.phase_space import _hermite_functions
 from cvngs.fock_oracle import (FockState, _annihilation, _on_c,
                                _squeeze_unitary, apply_amplifier,
                                apply_annihilate_C, apply_homodyne_window, apply_loss,
@@ -19,6 +21,51 @@ from cvngs.fock_oracle import (FockState, _annihilation, _on_c,
 
 def params(db=-6.0, gamma=0.0, n_m=0.0):
     return SystemParams(3.0, 7.0, gamma, n_m=n_m).with_squeeze_db(db)
+
+
+def padded_dense_build(p, pulse, N):
+    """Reference for build_entangled_state at truncation N: the whole beam
+    splitter as one matrix exponential on rho_m (x) |sq><sq|, then the optical
+    parity, on a box of 2N + 1 photons per mode, cropped to the N box.  The
+    input holds at most 2N photons and the generator conserves their total, so
+    no sector the input reaches is clipped in the padded box."""
+    d, D = N + 1, 2 * N + 1
+    a = _annihilation(D)
+    theta = math.atan2(math.sqrt(pulse.T), math.sqrt(pulse.R))   # exact near R = 1
+    U = expm(-theta * (np.kron(a.T, a) - np.kron(a, a.T)))
+    U = np.kron(np.eye(D), np.diag((-1.0) ** np.arange(D))) @ U
+    sq, pm = np.zeros(D), np.zeros(D)
+    sq[:d] = _squeeze_unitary(d, -0.5 * math.log(p.squeeze.linear))[:, 0]
+    pm[:d] = (p.n_m / (1.0 + p.n_m)) ** np.arange(d)
+    rho_in = np.kron(np.diag(pm / pm.sum()), np.outer(sq, sq))
+    ref = (U @ rho_in @ U.T).reshape(D, D, D, D)[:d, :d, :d, :d]
+    return ref.reshape(d * d, d * d)
+
+
+def lattice(d, grid):
+    """(q, dy, K, L) of wigner_from_density's position lattice."""
+    band = math.sqrt(2.0 * d + 1.0) + max(abs(grid.xmin), abs(grid.xmax))
+    q = math.ceil(4.0 * grid.step * band / math.pi)
+    dy = 2.0 * grid.step / q
+    K = math.ceil(2.0 * (math.sqrt(2.0 * d + 1.0) + 4.0) / dy)
+    return q, dy, K, q * (grid.n - 1) + 2 * K + 1
+
+
+def dense_lattice_wigner(state, grid):
+    """Reference for wigner_from_density: the whole lattice matrix
+    G = <u_a|rho|u_b>, read at x +- y/2 for every y, then the cosine and sine
+    sums over the full y range."""
+    st = state.normalized()
+    rho, d = st.density(), st.dim
+    q, dy, K, L = lattice(d, grid)
+    k = np.arange(-K, K + 1)
+    u = grid.xmin + (np.arange(L) - K) * (dy / 2.0)
+    psi = _hermite_functions(u, d - 1)
+    G = psi.T @ rho @ psi
+    j = q * np.arange(grid.n)[:, None] + K
+    M = G[j + k, j - k]
+    yp = np.outer(dy * k, grid.axis)
+    return (M.real @ np.cos(yp) + M.imag @ np.sin(yp)) * dy / (2.0 * math.pi)
 
 
 @pytest.fixture(scope="module")
@@ -47,21 +94,31 @@ class TestBuild:
         assert np.abs(st.quadrature_covariance() - V.entries).max() < 1e-5
 
     def test_build_matches_dense_unitary(self):
-        # reference: the whole beam splitter as one d^2 x d^2 matrix exponential
-        # on rho_m (x) |sq><sq|, then the optical parity
         N, n_m = 8, 0.1
         p, pulse = params(db=-1.0, n_m=n_m), PulseSpec(0.9)
-        d = N + 1
-        a = _annihilation(d)
-        theta = math.acos(math.sqrt(pulse.R))
-        U = expm(-theta * (np.kron(a.T, a) - np.kron(a, a.T)))
-        U = np.kron(np.eye(d), np.diag((-1.0) ** np.arange(d))) @ U
-        sq = _squeeze_unitary(d, -0.5 * math.log(p.squeeze.linear))[:, 0]
-        pm = (n_m / (1.0 + n_m)) ** np.arange(d)
-        rho_in = np.kron(np.diag(pm / pm.sum()), np.outer(sq, sq))
-        ref = U @ rho_in @ U.T
         st = build_entangled_state(p, pulse, truncation=N)
-        assert np.abs(st.density() - ref).max() <= 1e-13
+        assert np.abs(st.density() - padded_dense_build(p, pulse, N)).max() <= 1e-13
+
+    @pytest.mark.parametrize("R", [0.05, 0.5, 1.0 - 1e-12])
+    def test_thermal_build_matches_dense_unitary(self, R):
+        N = 10      # at N = 8 the n_m = 0.3 thermal tail trips the edge guard
+        p, pulse = params(db=-1.0, n_m=0.3), PulseSpec(R)
+        st = build_entangled_state(p, pulse, truncation=N)
+        assert np.abs(st.density() - padded_dense_build(p, pulse, N)).max() <= 1e-13
+
+    def test_one_matrix_exponential(self, monkeypatch):
+        # the input squeeze is the only expm; the beam splitter is a recurrence
+        calls = []
+
+        def counted(M):
+            calls.append(M.shape)
+            return expm(M)
+
+        monkeypatch.setattr(fock_oracle, "expm", counted)
+        for N in (8, 40):
+            calls.clear()
+            build_entangled_state(params(db=-1.0, n_m=0.1), PulseSpec(0.7), truncation=N)
+            assert calls == [(N + 1, N + 1)]
 
     def test_gamma_requires_moment_oracle(self):
         with pytest.raises(DomainError):
@@ -297,6 +354,45 @@ class TestWigner:
         W = wigner_from_density(FockState.from_density(rho, 12, 1), g)
         W_rot = wigner_from_density(FockState.from_density(rho_rot, 12, 1), g)
         assert np.abs(W_rot - np.rot90(W, -1)).max() < 1e-12
+
+    @staticmethod
+    def reference_state(kind):
+        if kind == "real":
+            rng = np.random.default_rng(11)
+            A = rng.standard_normal((13, 4)) * 0.6 ** np.arange(13)[:, None]
+            return FockState(amps=A)
+        if kind == "quarter_turn":
+            amps = np.zeros((13, 1), complex)
+            amps[:2, 0] = np.array([1.0, -1j]) / math.sqrt(2.0)
+            return FockState(amps=amps)
+        if kind == "two_mode_lossy":      # r = d * d columns, above d
+            st = build_entangled_state(params(db=-2.0), PulseSpec(0.6), truncation=16)
+            return apply_loss(st, 0.8).reduced_mechanical()
+        p, pulse = params(), PulseSpec(0.9)
+        g = solve_gain(sigma_from_cov(covariance_after_pulse(p, pulse)), 0.5)
+        return run_eps_oracle(p, pulse, g, 2, eta=0.9, mu=0.9, nu=0.97, zeta=0.2,
+                              truncation=40)
+
+    @pytest.mark.parametrize("kind", ["real", "quarter_turn", "two_mode_lossy", "eps_N40"])
+    def test_matches_dense_lattice_matrix(self, kind):
+        st, g = self.reference_state(kind), GridSpec(-6.0, 6.0, 61)
+        if kind == "two_mode_lossy":
+            assert st.amps.shape[1] > st.dim
+        ref = dense_lattice_wigner(st, g)
+        assert np.abs(wigner_from_density(st, g) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_memory_below_one_lattice_matrix(self):
+        # the dense route held the L x L matrix G and its fancy-indexed reads
+        st, g = self.reference_state("eps_N40"), GridSpec(-6.0, 6.0, 61)
+        L = lattice(st.dim, g)[3]
+        wigner_from_density(st, g)
+        tracemalloc.start()
+        try:
+            wigner_from_density(st, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * L * L
 
     def test_fock_states_match_laguerre_closed_form(self):
         # W_n = (-1)^n L_n(2 r^2) e^{-r^2} / pi, vacuum variance 1/2

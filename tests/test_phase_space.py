@@ -5,13 +5,14 @@ import pytest
 
 from cvngs import (CovMatrix, EpsStage, GridSpec, MeasurementSpec, MultiPoly,
                    PipelineSpec, PolyGaussian, PulseSpec, SystemParams,
-                   amplifier_map, amplify_wigner, apply_linear_map,
+                   amplifier_map, apply_linear_map,
                    covariance_after_pulse, eps_pipeline, evaluate_grid,
                    gaussian_wigner, initial_covariance, marginal,
                    multiply_gaussian_window, normalize, overlap, project_XC,
                    qn_polynomial, sigma_from_cov, solve_gain, wigner_negativity)
 from cvngs import phase_space
 from cvngs.exceptions import ContractError, DomainError
+from cvngs.gaussian_core import amplifier_block
 from cvngs.phase_space import (NEG_SPAN, NEG_SWEEP, PC, XC, _along, _compose_axis, _linear,
                                _photon_frame, _real_root_count, _subtract_in_frame, _t_polys,
                                translate)
@@ -20,6 +21,15 @@ from cvngs.phase_space import (NEG_SPAN, NEG_SWEEP, PC, XC, _along, _compose_axi
 def pulsed_V(R=0.5, db=-6.0, gamma=1.6):
     p = SystemParams(3.0, 7.0, gamma).with_squeeze_db(db)
     return covariance_after_pulse(p, PulseSpec(R))
+
+
+def amplify_wigner(W, g_quad, n_quad=0.0):
+    """Phase-sensitive amplification of the optical mode, X_C -> g X_C and
+    P_C -> (1+n)/g P_C, as a pushforward of the whole 4-variable state: the
+    reference for the pipeline, which amplifies the kernel alone."""
+    T = np.eye(4)
+    T[2:, 2:] = amplifier_block(g_quad, n_quad)
+    return apply_linear_map(W, T)
 
 
 def fock1_wigner():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cvngs import (EpsStage, GridSpec, MeasurementSpec, MultiPoly, PipelineSpec,
-                   amplifier_map, amplify_wigner, apply_linear_map, cli, cov_from_sigma,
+                   amplifier_map, apply_linear_map, cli, cov_from_sigma,
                    dark_count_mix, eps_pipeline, evaluate_grid, four_cat_gains,
                    gaussian_wigner, loss_channel_sigma, project_XC, sigma_from_cov,
                    solve_gain)
@@ -19,7 +19,7 @@ from cvngs.exceptions import NumericalDomainError
 from cvngs.gaussian_core import amplifier_block
 from cvngs.phase_space import _photon_frame, _subtract_in_frame
 from cvngs.state_synthesis import _frame_state
-from test_phase_space import pulsed_V, reference_subtract
+from test_phase_space import amplify_wigner, pulsed_V, reference_subtract
 
 CHECK_GRID = GridSpec(-7.0, 7.0, 57)
 GOLDEN = Path(__file__).parent / "golden"
