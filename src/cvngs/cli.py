@@ -268,10 +268,13 @@ def cmd_eps(manifest, outdir):
                            "mechanical Wigner function")
     stages = spec.stages
     metrics = score_state(W, n=stages[-1].n if stages else None, sigma11=sigma.s11)
+    try:
+        xi = xi_from_gain(sigma, stages[0].g_A) if stages else None
+    except DomainError:         # s13 = 0: xi is undefined, a diagnostic only
+        xi = None
     return {"metrics": metrics.to_json_dict(),
             "stages": [{"g_dB": s.g_db, "n": s.n, "n_A": s.n_A} for s in stages],
-            "xi_first_stage": xi_from_gain(sigma, stages[0].g_A) if stages else None
-            }, artifacts
+            "xi_first_stage": xi}, artifacts
 
 
 def cmd_four_cat(manifest, outdir):

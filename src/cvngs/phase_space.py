@@ -12,7 +12,9 @@ poly is a dense coefficient tensor, one axis per variable.  Every affine change
 of variables runs through `_compose_axis`, a one-variable Horner substitution;
 a linear map is LU-factored into such steps.  Photon subtraction runs in the
 kernel's photon frame: lambda = u_C - (cov^-1 (u - mean))_C / 2 are two linear
-forms, and n subtractions are a bivariate recursion in them.  The homodyne
+forms, and n subtractions are a bivariate recursion in them.  A 4-variable
+polynomial (a cascade's later stages, Q_n, project_XC) is over u itself and
+subtracts by the same formula, lambda being linear forms in u.  The homodyne
 window is a Gaussian along X_theta, and the integral over the optical mode a 2-D
 blur of f(lambda) followed by lambda = K y + b.  Gaussian integrals sum the
 coefficients against a table of raw moments, batched over means.  The Wigner
@@ -36,7 +38,6 @@ from .gaussian_core import (CovMatrix, SigmaMatrix, check_physical,
 
 # axis indices in the joint ordering
 XM, PM, XC, PC = 0, 1, 2, 3
-BY_C = np.eye(4)[[XC, PC, XM, PM]]      # u -> (X_C, P_C, X_M, P_M)
 
 
 def _along(axis: int, index) -> tuple:
@@ -137,11 +138,7 @@ def _compose_axis(coef: np.ndarray, i: int, const: float, own: float,
                   others) -> np.ndarray:
     """Coefficients of p after u_i -> const + own u_i + sum_(j != i) others_j u_j,
     by Horner's rule in u_i: acc <- acc * (that linear form) + c_k, with c_k the
-    slab of u_i^k.  The result keeps the arity; no axis outgrows the degree.
-    After the step for u_i^k acc has total degree <= deg - k, so that step runs
-    in place on the box min(shape_j, deg - k + 1), and steps with k > deg are
-    skipped: every non-zero coefficient sees the full-box operations, and the
-    zeros beyond the degree are left alone."""
+    slab of u_i^k.  The result keeps the arity; no axis outgrows the degree."""
     grow = [j for j in range(coef.ndim) if j != i and others[j] != 0.0]
     if const == 0.0 and own == 1.0 and not grow:
         return coef
@@ -150,22 +147,14 @@ def _compose_axis(coef: np.ndarray, i: int, const: float, own: float,
     for j in grow:
         shape[j] = max(shape[j], min(shape[j] + coef.shape[i] - 1, deg + 1))
     acc = np.zeros(shape)
-    terms = [(i, own)] + [(j, others[j]) for j in grow]
-    for k in reversed(range(min(coef.shape[i], deg + 1))):
-        e = deg - k + 1                 # this step's box edge; the last step's is e - 1
-        last = [slice(min(s, e - 1)) for s in shape]     # acc is zero outside it
-        shifted = []
-        for j, w in terms:              # w u_j times the last acc, cut to this box
-            src, dst, n = list(last), list(last), min(shape[j], e) - 1
-            src[j], dst[j] = slice(n), slice(1, n + 1)
-            shifted.append((tuple(dst), w * acc[tuple(src)]))
-        acc[tuple(last)] *= const
-        for dst, t in shifted:
-            acc[dst] += t
-        slab = [slice(min(c, e)) for c in coef.shape]
-        src = list(slab)
-        slab[i], src[i] = slice(1), slice(k, k + 1)
-        acc[tuple(slab)] += coef[tuple(src)]
+    slab = tuple(map(slice, coef.shape[:i] + (1,) + coef.shape[i + 1:]))
+    for k in reversed(range(coef.shape[i])):
+        new = const * acc
+        new[_along(i, slice(1, None))] += own * acc[_along(i, slice(-1))]
+        for j in grow:
+            new[_along(j, slice(1, None))] += others[j] * acc[_along(j, slice(-1))]
+        new[slab] += coef[_along(i, slice(k, k + 1))]
+        acc = new
     return acc
 
 
@@ -302,30 +291,28 @@ def qn_polynomial(sigma: SigmaMatrix, n: int) -> MultiPoly:
     Q_n = Q_1 Q_{n-1} - L_X dQ/dX_C - L_P dQ/dP_C + (d2Q/dX_C^2 + d2Q/dP_C^2)/4,
     with L_X = (s33-1) X_C + s13 X_M and L_P = (s44-1) P_C + s24 P_M.
     n-fold application of the subtraction operator equals 2^-n Q_n times the
-    Gaussian.
+    Gaussian.  Each step is `_subtract_over_u` with lambda = -(L_X, L_P) and
+    c = 1 - (s33+s44)/2, scaled by 2.
     """
     if n < 0:
         raise DomainError(f"photon number must be >= 0, got {n}")
     require_xp_decoupled(sigma, "qn_polynomial")
-    if n == 0:
-        return MultiPoly.constant(4)
-    lx = _linear(0.0, [sigma.s13, 0.0, sigma.s33 - 1.0, 0.0])
-    lp = _linear(0.0, [0.0, sigma.s24, 0.0, sigma.s44 - 1.0])
-    q1 = MultiPoly.constant(4, 1.0 - (sigma.s33 + sigma.s44) / 2.0) + lx * lx + lp * lp
-    q = q1
-    for _ in range(n - 1):
-        q = (q1 * q
-             + lx.scale(-1.0) * q.diff(XC) + lp.scale(-1.0) * q.diff(PC)
-             + (q.diff(XC).diff(XC) + q.diff(PC).diff(PC)).scale(0.25))
-    return q
+    lam = -np.array([[0.0, sigma.s13, 0.0, sigma.s33 - 1.0, 0.0],
+                     [0.0, 0.0, sigma.s24, 0.0, sigma.s44 - 1.0]])
+    q = np.ones((1,) * 4)
+    for _ in range(n):
+        q = 2.0 * _subtract_over_u(q, lam, 1.0 - (sigma.s33 + sigma.s44) / 2.0)
+    return MultiPoly(q)
 
 
 def _photon_frame(cov: np.ndarray, mean: np.ndarray) -> tuple:
     """(M, o, J, c) of the kernel N(u; mean, cov), A = cov^-1: the coordinates
-    w = M u + o = (lambda, X_M, P_M) with lambda = P (u - mean) + mean_C and
-    P = [0 I] - A_(C,:) / 2; J = I - A_CC / 2 = dlambda/du_C, c = 1 - tr A_CC / 4."""
+    w = M u + o = (lambda, X_C, P_C) with lambda = P (u - mean) + mean_C and
+    P = [0 I] - A_(C,:) / 2; J = I - A_CC / 2 = dlambda/du_C, c = 1 - tr A_CC / 4.
+    An f over lambda does not depend on w_23; u_C there makes M = [[B, J], [0, I]]
+    block-triangular, so f(M u + o) is two full-box Horner steps."""
     A = np.linalg.inv(cov)
-    M = np.vstack([np.eye(2, 4, 2) - 0.5 * A[2:], np.eye(2, 4)])
+    M = np.vstack([np.eye(2, 4, 2) - 0.5 * A[2:], np.eye(2, 4, 2)])
     return M, np.r_[mean[2:] - M[:2] @ mean, 0, 0], M[:2, 2:], 1 - 0.25 * np.trace(A[2:, 2:])
 
 
@@ -348,18 +335,20 @@ def _subtract_in_frame(f: np.ndarray, J: np.ndarray, c: float) -> np.ndarray:
 
 
 def _subtract_over_u(f: np.ndarray, lam: np.ndarray, c: float) -> np.ndarray:
-    """`_subtract_in_frame` for f over w = (X_C, P_C, X_M, P_M), lambda = lam . (1, w)."""
+    """`_subtract_in_frame` for f over u itself, lambda = lam . (1, u):
+    g = [(|lambda|^2 + c) f + lambda . grad_C f + (d2f/dX_C^2 + d2f/dP_C^2) / 4] / 2."""
     f, (lx, lp) = MultiPoly(f), (_linear(row[0], row[1:]) for row in lam)
-    dx, dp = f.diff(0), f.diff(1)
+    dx, dp = f.diff(XC), f.diff(PC)
     return ((lx * lx + lp * lp + MultiPoly.constant(4, c)) * f + lx * dx + lp * dp
-            + (dx.diff(0) + dp.diff(1)).scale(0.25)).scale(0.5).coef
+            + (dx.diff(XC) + dp.diff(PC)).scale(0.25)).scale(0.5).coef
 
 
 def _project_frame(f: np.ndarray, M: np.ndarray, o: np.ndarray, cov: np.ndarray,
                    mean: np.ndarray, theta: float, eps: float, zeta: float,
                    mu: float) -> PolyGaussian:
     """Homodyne projection of f(w) N(u; mean, cov), w = M u + o, onto X_theta =
-    cos(theta) X_C + sin(theta) P_C = zeta, unnormalized.  For f over lambda = w_01,
+    cos(theta) X_C + sin(theta) P_C = zeta, unnormalized.  A 4-variable f: the
+    window, then `marginal` of f(M u + o).  For f over lambda = w_01,
     lambda | (X_M, P_M) = y is N(K y + b, S) under the windowed kernel: the integral
     over the optical mode is the blur sum_k (grad^T S grad / 2)^k f / k!, at K y + b."""
     if eps <= 0:
@@ -369,7 +358,7 @@ def _project_frame(f: np.ndarray, M: np.ndarray, o: np.ndarray, cov: np.ndarray,
     d = np.array([0.0, 0.0, math.cos(theta), math.sin(theta)])
     Wd = multiply_gaussian_window(PolyGaussian(cov, mean, MultiPoly.constant(4)), d, zeta /
                                   np.sqrt(mu), np.sqrt((eps * eps + (1.0 - mu) / 2.0) / mu))
-    if f.ndim == 4:                 # f over all of w (a later stage, project_XC): in u
+    if f.ndim == 4:
         return marginal(PolyGaussian(Wd.cov, Wd.mean, MultiPoly(f).substitute_linear(M, o)),
                         [XM, PM])
     C, m = Wd.cov, Wd.mean
@@ -468,8 +457,8 @@ def project_XC(W: PolyGaussian, eps: float, zeta: float = 0.0,
     """
     if W.nvars != 4:
         raise ContractError("project_XC acts on the joint 4-variable state")
-    f = np.transpose(W.poly.coef, (2, 3, 0, 1))         # over (X_C, P_C, X_M, P_M)
-    return normalize(_project_frame(f, BY_C, np.zeros(4), W.cov, W.mean, 0.0, eps, zeta, mu))
+    return normalize(_project_frame(W.poly.coef, np.eye(4), np.zeros(4), W.cov, W.mean,
+                                    0.0, eps, zeta, mu))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from numpy.polynomial import polynomial as P
 from .exceptions import ContractError, DomainError, ZeroWeightError
 from .gaussian_core import (CovMatrix, SigmaMatrix, amplifier_block, cov_from_sigma,
                             loss_channel_sigma, sigma_from_cov)
-from .phase_space import (BY_C, MultiPoly, PolyGaussian, _expect, _linear, _photon_frame,
+from .phase_space import (MultiPoly, PolyGaussian, _expect, _linear, _photon_frame,
                           _project_frame, _subtract_in_frame, _subtract_over_u,
                           apply_linear_map, gaussian_wigner, normalize)
 
@@ -107,12 +107,13 @@ def eps_pipeline(V: CovMatrix, spec: PipelineSpec) -> PolyGaussian:
     optical mode -> normalize.  Returns the 2-variable mechanical Wigner function.
     The state is f(w) N(u; 0, V_k) with w = M u + o.  The first stage that
     subtracts runs in its photon frame, f over lambda alone; a later one carries f
-    over u, as its own frame would invert J and lose (1/s_min(J))^deg f to round-off.
+    over u itself, as its own frame would invert J and lose (1/s_min(J))^deg f
+    to round-off.
     """
     if spec.eta < 1.0:
         V = cov_from_sigma(loss_channel_sigma(sigma_from_cov(V), spec.eta))
     cov, mean = gaussian_wigner(V).cov, np.zeros(4)
-    f, M, o = np.ones((1, 1)), BY_C, np.zeros(4)
+    f, M, o = np.ones((1, 1)), np.eye(4), np.zeros(4)
     for k, stage in enumerate(spec.stages):
         T = np.diag([1.0, 1.0, *np.diag(amplifier_block(stage.quad_gain, stage.quad_noise))])
         cov, M = T @ cov @ T.T, M @ np.linalg.inv(T)
@@ -121,10 +122,9 @@ def eps_pipeline(V: CovMatrix, spec: PipelineSpec) -> PolyGaussian:
         M_k, o_k, J, c = _photon_frame(cov, mean)
         if f.size == 1:     # the first stage that subtracts: f over its lambda alone
             M, o, lam = M_k, o_k, None
-        else:               # a later one: f over (X_C, P_C, X_M, P_M) itself
-            f = MultiPoly(f.reshape(f.shape + (1,) * (4 - f.ndim))).substitute_linear(
-                M @ BY_C.T, o).coef
-            M, o, lam = BY_C, np.zeros(4), np.c_[o_k[:2], M_k[:2] @ BY_C.T]
+        else:               # a later one: f over u
+            f = MultiPoly(f.reshape(f.shape + (1,) * (4 - f.ndim))).substitute_linear(M, o).coef
+            M, o, lam = np.eye(4), np.zeros(4), np.c_[o_k[:2], M_k[:2]]
         for _ in range(stage.n):
             unheralded = f      # a dark count fires one subtraction short
             f = _subtract_in_frame(f, J, c) if lam is None else _subtract_over_u(f, lam, c)

@@ -290,6 +290,17 @@ class TestCommands:
         env = read_json(tmp_path / "state.json")
         assert env["convention"].startswith("XM,PM,XC,PC")
 
+    def test_eps_without_correlation_reports_no_xi(self, tmp_path):
+        # R = 1 gives s13 = 0: a given gain still runs, xi is undefined; gain-solve,
+        # whose output xi is, still exits 3
+        rc = run({"command": "eps", "pulse": {"R": 1.0}, "stages": [{"g_db": 2.0}]}, tmp_path)
+        assert rc == EXIT_OK
+        rep = read_json(tmp_path / "report.json")
+        assert rep["xi_first_stage"] is None
+        assert sorted(rep["artifacts"]) == ["state.csv", "state.gp", "state.json"]
+        assert run({"command": "gain-solve", "pulse": {"R": 1.0}},
+                   tmp_path / "gain") == EXIT_NUMERICAL
+
     def test_stage_gain_in_db_or_linear(self, tmp_path):
         reports = []
         for i, stage in enumerate(({"g_db": 3.0, "n": 1}, {"g_linear": 10 ** 0.3, "n": 1})):

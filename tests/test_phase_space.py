@@ -13,7 +13,7 @@ from cvngs import (CovMatrix, EpsStage, GridSpec, MeasurementSpec, MultiPoly,
 from cvngs import phase_space
 from cvngs.exceptions import ContractError, DomainError
 from cvngs.gaussian_core import amplifier_block
-from cvngs.phase_space import (NEG_SPAN, NEG_SWEEP, PC, XC, _along, _compose_axis, _linear,
+from cvngs.phase_space import (NEG_SPAN, NEG_SWEEP, PC, XC, _compose_axis, _linear,
                                _photon_frame, _real_root_count, _subtract_in_frame, _t_polys,
                                translate)
 
@@ -41,28 +41,6 @@ def fock1_wigner():
 def coeff_diff(a: MultiPoly, b: MultiPoly) -> float:
     """Largest absolute coefficient of a - b."""
     return float(np.abs((a + b.scale(-1.0)).coef).max())
-
-
-def full_box_compose(coef, i, const, own, others):
-    """Reference for `_compose_axis`: the same Horner substitution run on the
-    whole output box at every step."""
-    grow = [j for j in range(coef.ndim) if j != i and others[j] != 0.0]
-    if const == 0.0 and own == 1.0 and not grow:
-        return coef
-    deg = MultiPoly(coef).degree
-    shape = list(coef.shape)
-    for j in grow:
-        shape[j] = max(shape[j], min(shape[j] + coef.shape[i] - 1, deg + 1))
-    acc = np.zeros(shape)
-    slab = tuple(map(slice, coef.shape[:i] + (1,) + coef.shape[i + 1:]))
-    for k in reversed(range(coef.shape[i])):
-        new = const * acc
-        new[_along(i, slice(1, None))] += own * acc[_along(i, slice(-1))]
-        for j in grow:
-            new[_along(j, slice(1, None))] += others[j] * acc[_along(j, slice(-1))]
-        new[slab] += coef[_along(i, slice(k, k + 1))]
-        acc = new
-    return acc
 
 
 def reference_subtract(W):
@@ -175,27 +153,33 @@ def random_poly(rng, nvars, deg, pad=0):
 
 
 class TestComposeAxis:
+    # the full-box Horner result, evaluated at 50 seeded points u, against p at the
+    # substituted point: measured at most 8.1e-16 of max |p| there, bound 1e-13
     @pytest.mark.parametrize("nvars, deg", [(2, 5), (4, 4)])
     @pytest.mark.parametrize("own", [0.0, 1.0, 0.7])
     @pytest.mark.parametrize("const", [0.0, -0.45])
     @pytest.mark.parametrize("pad", [0, 3])
     def test_equals_full_box_horner(self, nvars, deg, own, const, pad):
-        # pad = 3 puts steps with deg - k + 1 <= 0 in the loop along every axis
+        # pad = 3 puts zero slabs beyond the degree in the loop along every axis
         rng = np.random.default_rng(17 * nvars + deg + pad)
         coef = random_poly(rng, nvars, deg, pad)
+        u = rng.uniform(-1.5, 1.5, size=(50, nvars))
         for i in range(nvars):
             for zero in [j for j in range(nvars) if j != i]:
                 others = rng.normal(size=nvars)
                 others[zero] = 0.0                  # an axis that does not grow
                 got = _compose_axis(coef, i, const, own, others)
-                want = full_box_compose(coef, i, const, own, others)
-                assert got.shape == want.shape
-                assert np.array_equal(got, want)
+                assert got.ndim == nvars
+                assert max(got.shape) <= max(coef.shape)
+                v = u.copy()
+                v[:, i] = const + own * u[:, i] + np.delete(u, i, 1) @ np.delete(others, i)
+                want = MultiPoly(coef).evaluate(v)
+                assert np.abs(MultiPoly(got).evaluate(u) - want).max() < 1e-13 * np.abs(want).max()
 
     def test_zero_and_constant_polynomials(self):
         for coef in (np.zeros((3, 4)), np.full((1, 1), 2.5), np.pad([[2.5]], ((0, 3), (0, 2)))):
             got = _compose_axis(coef, 0, 0.3, 0.7, [0.0, 1.2])
-            assert np.array_equal(got, full_box_compose(coef, 0, 0.3, 0.7, [0.0, 1.2]))
+            assert MultiPoly(got).terms == MultiPoly(coef).terms
 
 
 class TestMultiPoly:

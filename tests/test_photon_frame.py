@@ -78,10 +78,14 @@ class TestAgainstReferenceChain:
         V, spec = single_stage(n, imperfect, seed=100 + n)
         assert grid_diff(spec, V) < (5e-14 if n <= 4 else 2e-13 if n <= 6 else 3e-12)
 
-    # measured: at most 4.7e-15 over these cascades
+    # measured: at most 9.6e-15 over the cascades of up to 5 photons, and 2.8e-13
+    # to 4.6e-13 over those of 8.  (1, 1, 0) ends on an amplifier after a later
+    # stage: f over u then meets the projection with M = T^-1, not I
     @pytest.mark.parametrize("ns, feat", [((1, 2), ""), ((2, 2), "four-cat"),
                                           ((2, 2), "four-cat-theta-loss"), ((3, 2), "theta"),
-                                          ((1, 1, 1), "dark")], ids=str)
+                                          ((1, 1, 1), "dark"), ((1, 1, 1, 1), ""),
+                                          ((1, 1, 0), "theta"), ((1, 7), "theta"),
+                                          ((7, 1), "theta"), ((4, 4), "theta")], ids=str)
     def test_cascade(self, ns, feat):
         if "four-cat" in feat:
             V = pulsed_V(R=0.9, gamma=0.0)
@@ -94,7 +98,7 @@ class TestAgainstReferenceChain:
                                                         zeta=0.2, eps=0.05),
                             eta=0.9 if "loss" in feat else 1.0,
                             dark_count=0.95 if "dark" in feat else 1.0)
-        assert grid_diff(spec, V) < 5e-14
+        assert grid_diff(spec, V) < (5e-14 if sum(ns) <= 5 else 2e-12)
 
     @pytest.mark.parametrize("d", [1e-2, 1e-8, 0.0])
     def test_later_stage_with_singular_frame(self, d):
